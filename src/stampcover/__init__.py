@@ -43,7 +43,6 @@ from .search import (
     ScanFailure,
     ScanSpec,
     ScanSummary,
-    checkpoint_path,
     enumerate_all_bases,
     enumerate_symmetric,
     run_scan,
@@ -67,7 +66,6 @@ __all__ = [
     "ScanSummary",
     "analyze",
     "brute_force_cover",
-    "checkpoint_path",
     "compute_h0",
     "compute_h1",
     "cover",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 invalid input, 3 a 64-bit or table limit was
 exceeded, 4 no saturating budget within the cap, 5 a scan found
-counterexamples, 6 a search box was refused as too large.
+counterexamples, 6 a search box was refused as too large, 130
+interrupted.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     TooLargeError,
 )
 from .families import family_a5, family_a9, family_a10
-from .search import ScanSpec, run_scan, search_extremal
+from .search import ScanSpec, _dumps, run_scan, search_extremal
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -29,6 +30,7 @@ EXIT_OVERFLOW = 3
 EXIT_NO_H1 = 4
 EXIT_COUNTEREXAMPLE = 5
 EXIT_TOO_LARGE = 6
+EXIT_INTERRUPTED = 130  # the shell's code for a run stopped by SIGINT
 
 _FAMILIES = {"a5": family_a5, "a9": family_a9, "a10": family_a10}
 
@@ -58,15 +60,11 @@ def _render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _render_jsonl(payload: dict) -> str:
-    return json.dumps(payload, separators=(",", ":"))
-
-
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(_render_json(payload))
     else:
-        print(_render_jsonl(payload))
+        print(_dumps(payload))
 
 
 def _print_report_table(report: BasisReport) -> None:
@@ -360,6 +358,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(f"{type(exc).__name__}: {exc}", EXIT_TOO_LARGE)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_INVALID)
+    except KeyboardInterrupt:
+        return _fail("interrupted (rerun with --resume)", EXIT_INTERRUPTED)
 
 
 def entry() -> None:

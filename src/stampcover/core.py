@@ -52,7 +52,8 @@ class Basis:
         if not elems:
             raise InvalidBasisError("a basis needs at least one element")
         for value in elems:
-            if not isinstance(value, int):
+            # bool is an int subclass, but True,2 would not parse back
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidBasisError(f"element {value!r} is not an integer")
             if value <= 0:
                 raise NonPositiveError(f"element {value} is not positive")

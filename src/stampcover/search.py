@@ -171,22 +171,9 @@ def _dumps(obj: dict) -> str:
 @dataclass(frozen=True)
 class _ResumeState:
     offset: int  # byte length of the complete-line prefix
-    scanned: int
+    bases: list[str]  # basis text of every complete record, in file order
     counterexamples: int
-    last_basis: str | None
     summary: dict | None
-
-
-def checkpoint_path(out_path: str) -> str:
-    """Sidecar file recording the last basis whose line hit the output."""
-    return out_path + ".checkpoint"
-
-
-def _write_checkpoint(path: str, basis_text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(basis_text + "\n")
-    os.replace(tmp, path)
 
 
 def _read_resume_state(out_path: str) -> _ResumeState:
@@ -194,15 +181,13 @@ def _read_resume_state(out_path: str) -> _ResumeState:
 
     Anything after the last complete, parseable line (a torn final line
     from an interrupted run) is treated as garbage to truncate.  The
-    output file itself is the authority; the checkpoint sidecar is only
-    a convenience for humans watching a long scan.
+    output file itself is the authority on how far the scan got.
     """
     with open(out_path, "rb") as fh:
         raw = fh.read()
     offset = 0
-    scanned = 0
+    bases = []
     counterexamples = 0
-    last_basis = None
     summary = None
     for line in raw.split(b"\n"):
         end = offset + len(line) + 1
@@ -220,12 +205,27 @@ def _read_resume_state(out_path: str) -> _ResumeState:
             break
         if "basis" not in obj:
             break
-        scanned += 1
         if obj.get("counterexample") is True:
             counterexamples += 1
-        last_basis = obj["basis"]
+        bases.append(obj["basis"])
         offset = end
-    return _ResumeState(offset, scanned, counterexamples, last_basis, summary)
+    return _ResumeState(offset, bases, counterexamples, summary)
+
+
+def _check_resumable(spec: ScanSpec, out_path: str, state: _ResumeState) -> None:
+    """Refuse a file whose records are not a prefix of this box's scan.
+
+    A finished file must hold the whole box.  ``h_cap`` is not recorded
+    in the file, so a resume cannot tell it changed.
+    """
+    expected = (str(basis) for basis in _candidates(spec))
+    prefix = list(itertools.islice(expected, len(state.bases)))
+    finished = state.summary is not None
+    if state.bases != prefix or (finished and next(expected, None) is not None):
+        raise ValueError(
+            f"{out_path} does not hold a scan of the box k={spec.k} "
+            f"ak_max={spec.ak_max} mode={spec.mode}; refusing to resume"
+        )
 
 
 def run_scan(
@@ -242,7 +242,9 @@ def run_scan(
     last complete line and the scan continues after the last recorded
     basis; a file that already ends in a summary is left untouched.  The
     bytes produced by run-to-completion and by any interrupt/resume
-    sequence are identical.
+    sequence are identical.  Resuming a file whose records are not the
+    start of this box's enumeration (or, once finished, the whole box)
+    raises ValueError and leaves the file as it was.
     """
     scanned = 0
     counterexamples = 0
@@ -250,6 +252,7 @@ def run_scan(
     mode = "w"
     if resume and os.path.exists(out_path):
         state = _read_resume_state(out_path)
+        _check_resumable(spec, out_path, state)
         if state.summary is not None:
             return ScanSummary(
                 int(state.summary["scanned"]),
@@ -257,12 +260,11 @@ def run_scan(
             )
         with open(out_path, "r+b") as fh:
             fh.truncate(state.offset)
-        scanned = state.scanned
+        scanned = len(state.bases)
         counterexamples = state.counterexamples
-        if state.last_basis is not None:
-            start_after = parse_basis(state.last_basis)
+        if state.bases:
+            start_after = parse_basis(state.bases[-1])
         mode = "a"
-    ckpt = checkpoint_path(out_path)
     with open(out_path, mode, encoding="utf-8", newline="\n") as fh:
         for item in scan_conjecture(spec, threads=threads, start_after=start_after):
             fh.write(_dumps(item.to_json_dict()) + "\n")
@@ -270,7 +272,6 @@ def run_scan(
             scanned += 1
             if isinstance(item, BasisReport) and item.counterexample:
                 counterexamples += 1
-            _write_checkpoint(ckpt, str(item.basis))
         summary = ScanSummary(scanned, counterexamples)
         fh.write(
             _dumps(
@@ -283,10 +284,6 @@ def run_scan(
             )
             + "\n"
         )
-    try:
-        os.remove(ckpt)
-    except FileNotFoundError:
-        pass
     return summary
 
 
@@ -311,14 +308,28 @@ def search_extremal(
     *,
     max_candidates: int = DEFAULT_EXTREMAL_CEILING,
 ) -> ExtremalResult:
-    """Exhaustive maximum of cover(h) over k-element bases, with witnesses.
+    """Maximum of cover(h) over k-element bases, with every witness.
 
-    When ``ak_ceiling`` is omitted it is derived as one more than the
-    extremal cover for k - 1 elements: any basis whose top exceeds that
-    has a value below its top that even the remaining k - 1 elements
-    cannot cover, so it can never beat the k - 1 optimum and is safe to
-    skip.  Raises TooLargeError before any covers are computed when the
-    candidate count C(ak_ceiling - 1, k - 1) exceeds ``max_candidates``.
+    The witnesses are all bases with top <= ``ak_ceiling`` that reach
+    the maximum, in lexicographic order.  When ``ak_ceiling`` is omitted
+    it is derived as one more than the extremal cover for k - 1
+    elements: any basis whose top exceeds that has a value below its
+    top that even the remaining k - 1 elements cannot cover, so it can
+    never beat the k - 1 optimum and is safe to skip.  Raises
+    TooLargeError before any covers are computed when the candidate
+    count C(ak_ceiling - 1, k - 1) exceeds ``max_candidates``.
+
+    The box is searched depth first over prefixes (1, a_2, ..., a_j) in
+    lexicographic order, computing each prefix's cover n once and
+    extending it only by a_{j+1} in (a_j, n + 1] (admissible-prefix
+    pruning, as in the extremal postage-stamp literature).  Sound
+    because a basis whose next element exceeds n + 1 cannot reach
+    n + 1 (every element it could use is already in the prefix) while
+    the prefix already covers 1..n, so its cover is exactly n.  Such a
+    basis exists only when the ceiling leaves room for the prefix
+    followed by n + 1, ..., n + s (s free slots), and that basis covers
+    at least n + s, so no skipped basis can reach the maximum.  The
+    witnesses therefore match those of evaluating every candidate.
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
@@ -342,11 +353,22 @@ def search_extremal(
         )
     best = -1
     witnesses: list[Basis] = []
-    for basis in enumerate_all_bases(k, ak_ceiling):
+
+    def visit(prefix: tuple[int, ...]) -> None:
+        nonlocal best
+        basis = Basis(prefix)
         n = cover(basis, h)
-        if n > best:
-            best = n
-            witnesses = [basis]
-        elif n == best:
-            witnesses.append(basis)
+        slots = k - len(prefix)
+        if not slots:
+            if n > best:
+                best = n
+                witnesses.clear()
+            if n == best:
+                witnesses.append(basis)
+            return
+        # admissible next elements, capped so the remaining slots still fit
+        for nxt in range(prefix[-1] + 1, min(n + 1, ak_ceiling - slots + 1) + 1):
+            visit(prefix + (nxt,))
+
+    visit((1,))
     return ExtremalResult(h, k, ak_ceiling, best, tuple(witnesses))

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 import stampcover.cli as cli
+import stampcover.search as search
 from stampcover.cli import main
 
 A9_TEXT = "1,3,5,8,20,23,25,27,28"
@@ -188,6 +190,43 @@ def test_scan_resume_via_cli(tmp_path):
     assert torn.read_bytes() == expected
 
 
+def test_interrupted_scan_exits_130_and_resumes(tmp_path, monkeypatch, capsys):
+    args = ["scan", "--k", "4", "--ak-max", "16", "--out"]
+    reference = tmp_path / "reference.jsonl"
+    assert main(args + [str(reference)]) == 0
+
+    out = tmp_path / "interrupted.jsonl"
+    real_evaluate = search._evaluate
+    state = {"calls": 0}
+
+    def fragile(job):
+        if state["calls"] == 3:
+            raise KeyboardInterrupt
+        state["calls"] += 1
+        return real_evaluate(job)
+
+    monkeypatch.setattr(search, "_evaluate", fragile)
+    capsys.readouterr()
+    assert main(args + [str(out)]) == 130
+    assert capsys.readouterr().err == "error: interrupted (rerun with --resume)\n"
+    monkeypatch.setattr(search, "_evaluate", real_evaluate)
+
+    assert len(out.read_bytes().splitlines()) == 3
+    assert main(args + [str(out), "--resume"]) == 0
+    assert out.read_bytes() == reference.read_bytes()
+
+
+def test_scan_resume_refuses_another_box(tmp_path, capsys):
+    out = tmp_path / "k3.jsonl"
+    assert main(["scan", "--k", "3", "--ak-max", "12", "--out", str(out)]) == 0
+    finished = out.read_bytes()
+    capsys.readouterr()
+    code = main(["scan", "--k", "4", "--ak-max", "12", "--out", str(out), "--resume"])
+    assert code == 2
+    assert "refusing to resume" in capsys.readouterr().err
+    assert out.read_bytes() == finished
+
+
 def test_scan_rejects_impossible_box(capsys):
     assert main(["scan", "--k", "5", "--ak-max", "3", "--out", "/tmp/na.jsonl"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -340,12 +379,16 @@ def test_not_a_tty_means_no_ansi(capsys, monkeypatch):
 
 
 def test_python_dash_m_invocation():
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "stampcover", "cover", "--basis", "1,3,6,10",
          "--h", "3", "--format", "table"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "23"

@@ -99,6 +99,13 @@ def test_validation_errors_are_value_errors():
             parse_basis(text)
 
 
+def test_bool_elements_are_rejected():
+    # True == 1, but "True,2" would not parse back
+    for elements in [(True, 2), (1, True), (1, 2, False)]:
+        with pytest.raises(InvalidBasisError):
+            Basis(elements)
+
+
 def test_element_must_fit_64_bits():
     Basis((1, 2**64 - 1))  # largest allowed
     with pytest.raises(OverflowLimitError):

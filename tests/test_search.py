@@ -14,7 +14,6 @@ from stampcover import (
     BasisReport,
     ScanFailure,
     ScanSpec,
-    checkpoint_path,
     cover,
     enumerate_all_bases,
     enumerate_symmetric,
@@ -152,7 +151,6 @@ def test_run_scan_output_shape(tmp_path):
             "counterexamples": summary.counterexamples,
         }
     }
-    assert not (tmp_path / "scan.jsonl.checkpoint").exists()
 
 
 def test_interrupted_scan_resumes_to_identical_bytes(tmp_path, monkeypatch):
@@ -174,16 +172,11 @@ def test_interrupted_scan_resumes_to_identical_bytes(tmp_path, monkeypatch):
         run_scan(spec, str(out))
     monkeypatch.setattr(search, "_evaluate", real_evaluate)
 
-    ckpt = checkpoint_path(str(out))
     assert out.read_bytes() != expected
-    with open(ckpt, encoding="utf-8") as fh:
-        last = fh.read().strip()
-    assert json.loads(out.read_bytes().splitlines()[-1])["basis"] == last
 
     summary = run_scan(spec, str(out), resume=True)
     assert out.read_bytes() == expected
     assert summary == reference
-    assert not (tmp_path / "interrupted.jsonl.checkpoint").exists()
 
 
 def test_resume_truncates_torn_final_line(tmp_path):
@@ -230,6 +223,27 @@ def test_resume_from_missing_or_empty_file(tmp_path):
     empty.write_bytes(b"")
     run_scan(spec, str(empty), resume=True)
     assert empty.read_bytes() == expected
+
+
+def test_resume_refuses_records_of_another_box(tmp_path):
+    # the first 5 records of a k=3 scan are not the start of a k=5 scan
+    expected, _ = _reference_scan(tmp_path, ScanSpec(3, 20))
+    out = tmp_path / "other.jsonl"
+    partial = b"".join(expected.splitlines(keepends=True)[:5])
+    out.write_bytes(partial)
+    with pytest.raises(ValueError, match="refusing to resume"):
+        run_scan(ScanSpec(5, 20), str(out), resume=True)
+    assert out.read_bytes() == partial
+
+
+def test_resume_refuses_finished_scan_of_another_box(tmp_path):
+    expected, _ = _reference_scan(tmp_path, ScanSpec(3, 20))
+    out = tmp_path / "done.jsonl"
+    for spec in (ScanSpec(3, 21), ScanSpec(3, 19), ScanSpec(3, 20, mode="all")):
+        out.write_bytes(expected)
+        with pytest.raises(ValueError, match="refusing to resume"):
+            run_scan(spec, str(out), resume=True)
+        assert out.read_bytes() == expected
 
 
 def test_fresh_run_overwrites_without_resume(tmp_path):
@@ -311,3 +325,45 @@ def test_extremal_one_denomination():
     result = search_extremal(7, 1)
     assert result.n_star == 7
     assert [str(b) for b in result.witnesses] == ["1"]
+
+
+def test_extremal_matches_exhaustive_search():
+    # reference: the cover of every candidate, best value and its
+    # witnesses in lexicographic order, as the unpruned search did it
+    boxes = 0
+    for h in range(1, 6):
+        for k in range(1, 6):
+            derived = 1 if k == 1 else search_extremal(h, k - 1).n_star + 1
+            tops = [
+                top
+                for top in range(k, derived + 3)
+                if math.comb(top - 1, k - 1) <= 2_000
+            ]
+            covers = [(b, cover(b, h)) for b in enumerate_all_bases(k, tops[-1])]
+            for top in tops:
+                in_box = [(b, n) for b, n in covers if b.top <= top]
+                best = max(n for _, n in in_box)
+                expected = (best, [b for b, n in in_box if n == best])
+                for ceiling in [top, None] if top == derived else [top]:
+                    result = search_extremal(h, k, ceiling)
+                    assert result.ak_ceiling == top
+                    got = (result.n_star, list(result.witnesses))
+                    assert got == expected, (h, k, ceiling)
+                    boxes += 1
+    assert boxes > 200
+
+
+@pytest.mark.parametrize(
+    ("h", "k", "n_star", "witnesses"),
+    [
+        (4, 4, 44, ["1,3,11,18"]),
+        (3, 5, 36, ["1,4,6,14,15"]),
+        (4, 5, 70, ["1,3,11,15,32"]),
+        (5, 4, 71, ["1,4,12,21", "1,5,12,28"]),
+        (3, 6, 52, ["1,3,7,9,19,24", "1,4,6,14,17,29"]),
+    ],
+)
+def test_extremal_goldens(h, k, n_star, witnesses):
+    result = search_extremal(h, k, max_candidates=10**6)
+    assert result.n_star == n_star
+    assert [str(b) for b in result.witnesses] == witnesses
