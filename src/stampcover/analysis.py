@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Basis, Generation, cover_profile
+from .core import Basis, Generation, compute_h0, cover_profile
 from .errors import (
     NotSymmetricError,
     UsesTopElementError,
@@ -79,44 +79,13 @@ def symmetrize_even(half: Basis) -> Basis:
 # ---------- admissibility thresholds ----------
 
 
-def compute_h0(basis: Basis) -> int:
-    """Smallest budget whose cover exceeds the top denomination.
-
-    Always at least 2: with one stamp the cover is exactly 1 unless the
-    basis is {1} alone, and either way cover(1) never exceeds the top.
-    Always at most top + 1, since every x <= top + 1 splits into at most
-    x stamps of 1 (or one stamp plus smaller change).
-    """
-    top = basis.top
-    h_max = 2
-    while True:
-        for row in cover_profile(basis, h_max).rows:
-            if row.cover > top:
-                return row.h
-        if h_max > top:
-            raise AssertionError("cover failed to exceed top by h = top + 1")
-        h_max = min(h_max * 2, top + 1)
-
-
-def _first_saturation(basis: Basis, h0: int, cap: int) -> int | None:
-    """Smallest h in [h0, cap] whose cover equals h * top, else None."""
-    for row in cover_profile(basis, cap).rows:
-        if row.h >= h0 and row.saturated:
-            return row.h
-    return None
-
-
 def compute_h1(basis: Basis, cap: int) -> int | None:
     """Smallest budget h >= h0 whose cover saturates at h * top.
 
-    Searches only up to ``cap`` and returns None when no budget in the
-    window saturates; raises ValueError when cap < h0, since the search
-    window would be empty.
+    The h1 that ``analyze`` reports for this cap: None when no budget in
+    h0..cap saturates, ValueError when cap < h0.
     """
-    h0 = compute_h0(basis)
-    if cap < h0:
-        raise ValueError(f"cap {cap} is below the admissibility threshold {h0}")
-    return _first_saturation(basis, h0, cap)
+    return analyze(basis, cap).h1
 
 
 # ---------- reflection ----------
@@ -194,10 +163,11 @@ class BasisReport:
 def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     """Full admissibility report for one basis.
 
-    When ``cap`` is None it defaults to the proven saturation window
-    max(h0, 2*h0 - 2) for symmetric bases, else to max(64, h0) so the
-    search is always well defined.  An explicit cap below h0 raises
-    ValueError.
+    h0 comes from ``compute_h0``, h1 from the first saturated row from
+    h0 on of one ``cover_profile`` up to the cap.  When ``cap`` is None
+    it defaults to the proven saturation window max(h0, 2*h0 - 2) for
+    symmetric bases, else to max(64, h0) so the search is always well
+    defined.  An explicit cap below h0 raises ValueError.
     """
     symmetric = is_symmetric(basis)
     h0 = compute_h0(basis)
@@ -206,7 +176,8 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
         cap = bound if symmetric else max(DEFAULT_H1_CAP, h0)
     if cap < h0:
         raise ValueError(f"cap {cap} is below the admissibility threshold {h0}")
-    h1 = _first_saturation(basis, h0, cap)
+    rows = cover_profile(basis, cap).rows[h0 - 1 :]
+    h1 = next((row.h for row in rows if row.saturated), None)
     conjecture_holds = h1 == h0
     return BasisReport(
         basis=basis,

@@ -1,9 +1,9 @@
 """Command-line surface: covers, reports, families, scans, extremal search.
 
-Exit codes: 0 success, 2 invalid input, 3 a 64-bit or table limit was
-exceeded, 4 no saturating budget within the cap, 5 a scan found
-counterexamples, 6 a search box was refused as too large, 130
-interrupted.
+Exit codes: 0 success, 1 a scan worker died, 2 invalid input, 3 a
+64-bit or table limit was exceeded, 4 no saturating budget within the
+cap, 5 a scan found counterexamples, 6 a search box was refused as too
+large, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .analysis import BasisReport, analyze
 from .core import Basis, cover, cover_profile, parse_basis
@@ -25,6 +26,7 @@ from .families import family_a5, family_a9, family_a10
 from .search import ScanSpec, _dumps, run_scan, search_extremal
 
 EXIT_OK = 0
+EXIT_WORKER_DIED = 1
 EXIT_INVALID = 2
 EXIT_OVERFLOW = 3
 EXIT_NO_H1 = 4
@@ -360,6 +362,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc), EXIT_INVALID)
     except KeyboardInterrupt:
         return _fail("interrupted (rerun with --resume)", EXIT_INTERRUPTED)
+    except BrokenProcessPool:
+        return _fail("a scan worker died (rerun with --resume)", EXIT_WORKER_DIED)
 
 
 def entry() -> None:

@@ -2,9 +2,10 @@
 
 A basis is a strictly increasing sequence of denominations starting at 1.
 Its cover at budget h is the largest n such that every integer in 1..n is
-a sum of at most h denominations (repetition allowed).  The table of
-minimal stamp counts is the workhorse for everything else; a brute-force
-enumerator over coefficient vectors serves as an independent cross-check.
+a sum of at most h denominations (repetition allowed).  One windowed
+bitset sweep gives the covers of all budgets; the minimal-stamp table
+gives single covers, h0 and witnesses; a brute-force enumerator over
+coefficient vectors serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -268,26 +269,49 @@ def cover(basis: Basis, h: int, *, limit: int = DEFAULT_TABLE_LIMIT) -> int:
     raise AssertionError("no gap found below h * top + 1")
 
 
+def compute_h0(basis: Basis) -> int:
+    """Smallest budget whose cover exceeds the top denomination.
+
+    cover(h) passes top exactly when every x <= top + 1 needs at most h
+    stamps, so h0 is the largest entry of one table of top + 2 entries
+    (OverflowLimitError when that passes the table limit).
+    """
+    return max(min_stamp_table(basis, basis.top + 1).min_stamps)
+
+
 def cover_profile(
     basis: Basis, h_max: int, *, limit: int = DEFAULT_TABLE_LIMIT
 ) -> CoverProfile:
-    """Covers for all budgets 1..h_max from a single shared table."""
+    """Covers for all budgets 1..h_max from one windowed bitset sweep.
+
+    R_h = R_{h-1} | OR_a R_{h-1} << a, where bit i of ``reach`` is value
+    base + i; the cover is one below the lowest clear bit.  Every value
+    below n + 1 - top is reachable and a shift by a <= top carries it to
+    at most n, so the window drops those bits after each budget.  Refuses
+    h_max * top + 2 entries (the table it replaces) beyond ``limit``.
+    """
     if h_max < 1:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
-    bound = _cover_bound(basis, h_max)
-    stamps = min_stamp_table(basis, bound, limit=limit).min_stamps
+    entries = _cover_bound(basis, h_max) + 1
+    if entries > limit:
+        raise OverflowLimitError(
+            f"cover sweep would need {entries} entries, limit is {limit}"
+        )
     top = basis.top
+    reach = 1  # only 0, with no stamps
+    base = 0
     rows = []
-    h = 1
-    for x in range(1, bound + 1):
-        while h <= h_max and stamps[x] > h:
-            n = x - 1
-            rows.append(CoverRow(h, n, n == h * top))
-            h += 1
-        if h > h_max:
-            break
-    if len(rows) != h_max:
-        raise AssertionError("cover sweep ended before reaching h_max")
+    for h in range(1, h_max + 1):
+        grown = reach
+        for step in basis.elements:
+            grown |= reach << step
+        reach = grown
+        n = base + (~reach & (reach + 1)).bit_length() - 2
+        rows.append(CoverRow(h, n, n == h * top))
+        drop = n + 1 - top - base
+        if drop > 0:
+            reach >>= drop
+            base += drop
     return CoverProfile(basis, tuple(rows))
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,6 +16,8 @@ import stampcover.search as search
 from stampcover.cli import main
 
 A9_TEXT = "1,3,5,8,20,23,25,27,28"
+
+_REAL_EVALUATE = search._evaluate
 
 REPORT_KEYS = [
     "basis",
@@ -227,6 +231,68 @@ def test_scan_resume_refuses_another_box(tmp_path, capsys):
     assert out.read_bytes() == finished
 
 
+def _die_on_1_6_15_20_21(job):
+    """Scan evaluator that kills its worker process on one basis."""
+    if job[0] == (1, 6, 15, 20, 21):
+        os._exit(1)
+    return _REAL_EVALUATE(job)
+
+
+def test_dead_scan_worker_exits_1_and_resumes(tmp_path, monkeypatch, capsys):
+    args = ["scan", "--k", "5", "--ak-max", "30", "--threads", "2", "--out"]
+    reference = tmp_path / "reference.jsonl"
+    assert main(args + [str(reference)]) == 0
+
+    out = tmp_path / "died.jsonl"
+    monkeypatch.setattr(search, "_evaluate", _die_on_1_6_15_20_21)
+    capsys.readouterr()
+    assert main(args + [str(out)]) == 1
+    assert capsys.readouterr().err == "error: a scan worker died (rerun with --resume)\n"
+    monkeypatch.setattr(search, "_evaluate", _REAL_EVALUATE)
+
+    assert b'"summary"' not in out.read_bytes()
+    assert main(args + [str(out), "--resume"]) == 0
+    assert out.read_bytes() == reference.read_bytes()
+
+
+def _child_env() -> dict:
+    """Environment in which a child imports the package from where this process found it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_sigkilled_scan_resumes_to_identical_bytes(tmp_path):
+    spec = search.ScanSpec(k=9, ak_max=40)
+    reference = tmp_path / "reference.jsonl"
+    search.run_scan(spec, str(reference))
+
+    out = tmp_path / "killed.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stampcover", "scan", "--k", "9", "--ak-max", "40",
+         "--out", str(out)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        env=_child_env(),
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (out.exists() and b"\n" in out.read_bytes()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.001)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    killed = out.read_bytes()
+    assert b'"summary"' not in killed
+
+    assert main(["scan", "--k", "9", "--ak-max", "40", "--out", str(out), "--resume"]) == 5
+    assert out.read_bytes() == reference.read_bytes()
+    assert len(killed) < len(reference.read_bytes())
+
+
 def test_scan_rejects_impossible_box(capsys):
     assert main(["scan", "--k", "5", "--ak-max", "3", "--out", "/tmp/na.jsonl"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -379,16 +445,13 @@ def test_not_a_tty_means_no_ansi(capsys, monkeypatch):
 
 
 def test_python_dash_m_invocation():
-    # the child imports the package from where this process found it
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "stampcover", "cover", "--basis", "1,3,6,10",
          "--h", "3", "--format", "table"],
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "23"

@@ -1,0 +1,144 @@
+"""The windowed cover sweep against the table path and the brute-force oracle."""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stampcover import (
+    Basis,
+    analyze,
+    brute_force_cover,
+    compute_h0,
+    compute_h1,
+    cover,
+    cover_profile,
+    is_symmetric,
+    min_stamp_table,
+    symmetrize_even,
+    symmetrize_odd,
+)
+from stampcover.errors import OverflowLimitError
+
+
+# ---------- helpers ----------
+
+
+def _table_covers(basis: Basis, h_max: int) -> list[int]:
+    """Covers for budgets 1..h_max read off one min-stamp table."""
+    stamps = min_stamp_table(basis, h_max * basis.top + 1).min_stamps
+    covers = []
+    x = 1
+    for h in range(1, h_max + 1):
+        while stamps[x] <= h:
+            x += 1
+        covers.append(x - 1)
+    return covers
+
+
+def _bases_up_to(k_max: int, top_max: int):
+    for k in range(1, k_max + 1):
+        for rest in itertools.combinations(range(2, top_max + 1), k - 1):
+            yield Basis((1,) + rest)
+
+
+# ---------- exhaustive agreement ----------
+
+
+def test_sweep_matches_table_and_brute_force_exhaustively():
+    h_max = 6
+    checked = 0
+    for basis in _bases_up_to(5, 16):
+        expected = _table_covers(basis, h_max)
+        rows = cover_profile(basis, h_max).rows
+        assert [row.h for row in rows] == list(range(1, h_max + 1))
+        assert [row.cover for row in rows] == expected, basis
+        assert [row.saturated for row in rows] == [
+            n == h * basis.top for h, n in enumerate(expected, start=1)
+        ]
+        for h, n in enumerate(expected, start=1):
+            assert cover(basis, h) == n
+            assert brute_force_cover(basis, h) == n, (basis, h)
+        checked += 1
+    assert checked == 1941
+
+
+def test_window_keeps_long_sweeps_exact():
+    # without the window this int would grow to h * top bits every layer
+    basis = Basis((1, 3, 16))
+    h_max = 20_000
+    covers = [row.cover for row in cover_profile(basis, h_max).rows]
+    assert covers == _table_covers(basis, h_max)
+
+
+# ---------- refusals ----------
+
+
+def test_sweep_refuses_beyond_the_limit_in_table_entries():
+    basis = Basis((1, 3, 10))
+    cover_profile(basis, 5, limit=5 * 10 + 2)
+    with pytest.raises(OverflowLimitError) as excinfo:
+        cover_profile(basis, 5, limit=5 * 10 + 1)
+    assert "52 entries" in str(excinfo.value)
+
+
+def test_sweep_refuses_values_beyond_64_bits():
+    with pytest.raises(OverflowLimitError) as excinfo:
+        cover_profile(Basis((1, 2**63)), 2)
+    assert "64 bits" in str(excinfo.value)
+
+
+def test_h0_table_refuses_beyond_the_limit():
+    # top + 2 entries, one more than the default limit of 2**24
+    with pytest.raises(OverflowLimitError) as excinfo:
+        compute_h0(Basis((1, 2**24 - 1)))
+    assert "16777217 entries" in str(excinfo.value)
+
+
+# ---------- properties on random bases ----------
+
+
+def _general_bases():
+    rest = st.sets(st.integers(2, 40), max_size=5)
+    return rest.map(lambda r: Basis((1,) + tuple(sorted(r))))
+
+
+def _symmetric_bases():
+    half = st.sets(st.integers(2, 20), min_size=1, max_size=3).map(
+        lambda r: Basis((1,) + tuple(sorted(r)))
+    )
+    return st.one_of(half.map(symmetrize_odd), half.map(symmetrize_even))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(basis=st.one_of(_general_bases(), _symmetric_bases()), extra=st.integers(0, 4))
+def test_thresholds_match_one_table(basis, extra):
+    top = basis.top
+    h0 = compute_h0(basis)
+    window = max(h0, 2 * h0 - 2)
+    cap = (window if is_symmetric(basis) else h0) + extra
+    covers = _table_covers(basis, cap)
+
+    assert h0 == next(h for h, n in enumerate(covers, start=1) if n > top)
+    saturated = [h for h, n in enumerate(covers, start=1) if h >= h0 and n == h * top]
+    h1 = saturated[0] if saturated else None
+    assert compute_h1(basis, cap) == h1
+    assert [row.cover for row in cover_profile(basis, cap).rows] == covers
+
+    report = analyze(basis, cap)
+    assert (report.h0, report.h1, report.h1_cap) == (h0, h1, cap)
+    assert report.theorem_bound == window
+    assert report.conjecture_holds == (h1 == h0)
+    if is_symmetric(basis):
+        assert h1 is not None and h1 <= window
+        if extra == 0:
+            assert analyze(basis) == report
+
+    if h0 > 2:
+        with pytest.raises(ValueError):
+            compute_h1(basis, h0 - 1)
+        with pytest.raises(ValueError):
+            analyze(basis, h0 - 1)
