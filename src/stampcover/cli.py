@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from .analysis import BasisReport, analyze
 from .core import Basis, cover, cover_profile, parse_basis
@@ -21,6 +20,7 @@ from .errors import (
     InvalidBasisError,
     OverflowLimitError,
     TooLargeError,
+    WorkerDiedError,
 )
 from .families import family_a5, family_a9, family_a10
 from .search import ScanSpec, _dumps, run_scan, search_extremal
@@ -362,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc), EXIT_INVALID)
     except KeyboardInterrupt:
         return _fail("interrupted (rerun with --resume)", EXIT_INTERRUPTED)
-    except BrokenProcessPool:
+    except WorkerDiedError:
         return _fail("a scan worker died (rerun with --resume)", EXIT_WORKER_DIED)
 
 

@@ -287,8 +287,11 @@ def cover_profile(
     R_h = R_{h-1} | OR_a R_{h-1} << a, where bit i of ``reach`` is value
     base + i; the cover is one below the lowest clear bit.  Every value
     below n + 1 - top is reachable and a shift by a <= top carries it to
-    at most n, so the window drops those bits after each budget.  Refuses
-    h_max * top + 2 entries (the table it replaces) beyond ``limit``.
+    at most n, so the window drops those bits after each budget.  Saturation
+    is permanent (if 1..h*top is reachable, adding top reaches the rest of
+    1..(h+1)*top), so the rows from the first saturated budget on are
+    appended as (g, g * top, True) with no more shifts.  Refuses h_max * top
+    + 2 entries (the table it replaces) beyond ``limit``, before any shift.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
@@ -307,7 +310,10 @@ def cover_profile(
             grown |= reach << step
         reach = grown
         n = base + (~reach & (reach + 1)).bit_length() - 2
-        rows.append(CoverRow(h, n, n == h * top))
+        if n == h * top:
+            rows += (CoverRow(g, g * top, True) for g in range(h, h_max + 1))
+            break
+        rows.append(CoverRow(h, n, False))
         drop = n + 1 - top - base
         if drop > 0:
             reach >>= drop

@@ -2,8 +2,8 @@
 
 Validation failures subclass ValueError so callers that only care about
 "bad input" can catch one thing; resource refusals (table or enumeration
-too big) get their own branches so the CLI can map them to distinct exit
-codes.
+too big) and WorkerDiedError subclass neither ValueError nor OSError, so
+the CLI can map them to their own exit codes.
 """
 
 
@@ -50,6 +50,10 @@ class NotRepresentableError(StampError):
 
 class BadParameterError(StampError, ValueError):
     """A family parameter is outside its admissible range."""
+
+
+class WorkerDiedError(StampError):
+    """A worker process of a parallel scan died before returning its work."""
 
 
 class ReflectionError(StampError):

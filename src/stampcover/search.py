@@ -1,8 +1,9 @@
 """Exhaustive desk-scale searches over whole boxes of bases.
 
 Three layers: enumerators that stream bases in lexicographic order,
-a conjecture scan that turns each basis into a report (optionally on a
-process pool, preserving order), and an append-only JSONL writer whose
+a conjecture scan that turns each basis into a report (with threads > 1
+on a process pool, imported only then, preserving order; a dead worker
+raises WorkerDiedError), and an append-only JSONL writer whose
 runs can be interrupted and resumed without changing the final bytes.
 The extremal search maximises the cover over every basis of a given
 size, deriving a sound top-element ceiling when none is supplied.
@@ -15,12 +16,11 @@ import json
 import math
 import os
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .analysis import BasisReport, analyze, symmetrize_even, symmetrize_odd
 from .core import Basis, cover, parse_basis
-from .errors import StampError, TooLargeError
+from .errors import StampError, TooLargeError, WorkerDiedError
 
 # Refuse extremal searches beyond this many candidate bases.
 DEFAULT_EXTREMAL_CEILING = 100_000
@@ -144,8 +144,9 @@ def scan_conjecture(
 
     ``start_after`` skips every basis up to and including the given one,
     which is how resumed scans continue.  With ``threads`` > 1 the work
-    runs on a process pool but results are still yielded in enumeration
-    order, so the output stream does not depend on the worker count.
+    runs on a process pool, imported and created only then, but results
+    are still yielded in enumeration order, so the output stream does
+    not depend on the worker count.  A dead worker raises WorkerDiedError.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -157,8 +158,12 @@ def scan_conjecture(
     if threads == 1:
         yield from map(_evaluate, jobs)
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(_evaluate, jobs, chunksize=_SCAN_CHUNK)
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    try:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            yield from pool.map(_evaluate, jobs, chunksize=_SCAN_CHUNK)
+    except BrokenProcessPool as exc:
+        raise WorkerDiedError("a scan worker died") from exc
 
 
 # ---------- persistence ----------

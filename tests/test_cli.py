@@ -455,3 +455,31 @@ def test_python_dash_m_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "23"
+
+
+# Runs ``python -m stampcover ARGS`` in this interpreter, then prints to
+# stderr which process-pool modules the command left in sys.modules.
+_POOL_MODULES_WRAPPER = """
+import runpy, sys
+sys.argv[0] = "stampcover"
+try:
+    runpy.run_module("stampcover", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+pool = ("multiprocessing", "concurrent.futures", "concurrent.futures.process")
+print(f"exit={code} pool_modules={[m for m in pool if m in sys.modules]}", file=sys.stderr)
+"""
+
+
+def test_startup_does_not_import_the_process_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_MODULES_WRAPPER, "family", "--kind", "a9",
+         "--p", "3", "--format", "table"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == A9_TEXT + "\n"
+    assert proc.stderr == "exit=0 pool_modules=[]\n"

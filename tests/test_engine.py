@@ -16,6 +16,8 @@ from stampcover import (
     compute_h1,
     cover,
     cover_profile,
+    family_a9,
+    family_a10,
     is_symmetric,
     min_stamp_table,
     symmetrize_even,
@@ -74,7 +76,48 @@ def test_window_keeps_long_sweeps_exact():
     assert covers == _table_covers(basis, h_max)
 
 
+# ---------- saturation ----------
+
+
+def test_rows_after_saturation_match_the_table():
+    # both saturate early, so almost every row comes from the short cut
+    basis = family_a9(3)
+    rows = cover_profile(basis, 200).rows
+    assert [row.cover for row in rows] == _table_covers(basis, 200)
+    assert [row.saturated for row in rows] == [h >= 4 for h in range(1, 201)]
+
+    basis = Basis((1, 2, 3))
+    h_max = 20_000
+    expected = [(h, 3 * h, True) for h in range(1, h_max + 1)]
+    assert _table_covers(basis, h_max) == [n for _, n, _ in expected]
+    rows = cover_profile(basis, h_max).rows
+    assert [(row.h, row.cover, row.saturated) for row in rows] == expected
+
+
+@pytest.mark.parametrize("basis", [family_a9(5), family_a10(5)])
+def test_first_saturated_row_is_h1_above_h0(basis):
+    report = analyze(basis)
+    assert is_symmetric(basis) and report.h1 == report.h0 + 1
+    rows = cover_profile(basis, 40).rows
+    assert [row.cover for row in rows] == _table_covers(basis, 40)
+    first = next(row.h for row in rows if row.saturated)
+    assert first == report.h1
+    assert all(row.saturated == (row.h >= first) for row in rows)
+
+
 # ---------- refusals ----------
+
+
+def test_refusals_fire_before_a_sweep_that_would_saturate_at_once():
+    basis = Basis((1, 2))  # saturated at h = 1
+    with pytest.raises(OverflowLimitError) as excinfo:
+        cover_profile(basis, 2**23)
+    assert str(excinfo.value) == (
+        "cover sweep would need 16777218 entries, limit is 16777216"
+    )
+    with pytest.raises(OverflowLimitError) as excinfo:
+        cover_profile(basis, 2**63)
+    assert "64 bits" in str(excinfo.value)
 
 
 def test_sweep_refuses_beyond_the_limit_in_table_entries():
