@@ -331,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-candidates",
         type=_positive_int,
         default=100_000,
-        help="refuse the search when more bases than this are in range",
+        help="refuse the search past this many visited prefixes",
     )
     _add_format_argument(p_extremal)
     p_extremal.set_defaults(func=_cmd_extremal)

@@ -243,9 +243,9 @@ class CoverProfile:
         return self.rows[h - 1].cover
 
 
-def _cover_bound(basis: Basis, h: int) -> int:
+def _cover_bound(top: int, h: int) -> int:
     """Table bound h * top + 1: the first value that cannot be covered."""
-    bound = h * basis.top + 1
+    bound = h * top + 1
     if bound > MAX_ELEMENT:
         raise OverflowLimitError(
             f"h * top + 1 = {bound} does not fit in 64 bits"
@@ -261,7 +261,7 @@ def cover(basis: Basis, h: int, *, limit: int = DEFAULT_TABLE_LIMIT) -> int:
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
-    bound = _cover_bound(basis, h)
+    bound = _cover_bound(basis.top, h)
     stamps = min_stamp_table(basis, bound, limit=limit).min_stamps
     for x in range(1, bound + 1):
         if stamps[x] > h:
@@ -295,7 +295,7 @@ def cover_profile(
     """
     if h_max < 1:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
-    entries = _cover_bound(basis, h_max) + 1
+    entries = _cover_bound(basis.top, h_max) + 1
     if entries > limit:
         raise OverflowLimitError(
             f"cover sweep would need {entries} entries, limit is {limit}"

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .analysis import BasisReport, analyze, symmetrize_even, symmetrize_odd
-from .core import Basis, cover, parse_basis
-from .errors import StampError, TooLargeError, WorkerDiedError
+from .core import DEFAULT_TABLE_LIMIT, Basis, _cover_bound, cover, parse_basis
+from .errors import OverflowLimitError, StampError, TooLargeError, WorkerDiedError
 
-# Refuse extremal searches beyond this many candidate bases.
+# Refuse extremal searches that would visit more prefixes than this.
 DEFAULT_EXTREMAL_CEILING = 100_000
 
 _SCAN_CHUNK = 16  # bases per process-pool work item
@@ -320,21 +319,23 @@ def search_extremal(
     it is derived as one more than the extremal cover for k - 1
     elements: any basis whose top exceeds that has a value below its
     top that even the remaining k - 1 elements cannot cover, so it can
-    never beat the k - 1 optimum and is safe to skip.  Raises
-    TooLargeError before any covers are computed when the candidate
-    count C(ak_ceiling - 1, k - 1) exceeds ``max_candidates``.
+    never beat the k - 1 optimum and is safe to skip.
 
     The box is searched depth first over prefixes (1, a_2, ..., a_j) in
-    lexicographic order, computing each prefix's cover n once and
-    extending it only by a_{j+1} in (a_j, n + 1] (admissible-prefix
-    pruning, as in the extremal postage-stamp literature).  Sound
-    because a basis whose next element exceeds n + 1 cannot reach
-    n + 1 (every element it could use is already in the prefix) while
-    the prefix already covers 1..n, so its cover is exactly n.  Such a
-    basis exists only when the ceiling leaves room for the prefix
-    followed by n + 1, ..., n + s (s free slots), and that basis covers
-    at least n + s, so no skipped basis can reach the maximum.  The
-    witnesses therefore match those of evaluating every candidate.
+    lexicographic order, extending a prefix of cover n only by a_{j+1}
+    in (a_j, n + 1]: a larger next element leaves cover exactly n, and
+    the box then holds the prefix followed by n + 1, ..., n + s (s free
+    slots), covering at least n + s.  Bit x of a prefix's ``levels[j]``
+    is set when x is a sum of at most j of its elements; a child adding
+    a has L'[0] = 1 and L'[j] = L[j] | L'[j-1] << a, and its cover is
+    one below the lowest clear bit of L'[h].  No prefix builds a table:
+    each witness is certified once by ``cover``.
+
+    Before anything is built for it, the ``max_candidates`` + 1-th
+    prefix raises TooLargeError, and a prefix whose h * top + 1 passes
+    64 bits, whose table of h * top + 2 entries passes the table limit,
+    or (k > 1) whose h + 1 levels pass 64 bits per entry of that limit
+    (only h >= 64 can) raises OverflowLimitError.
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
@@ -350,30 +351,49 @@ def search_extremal(
         raise ValueError(
             f"ak_ceiling {ak_ceiling} cannot fit {k} increasing elements"
         )
-    count = math.comb(ak_ceiling - 1, k - 1)
-    if count > max_candidates:
-        raise TooLargeError(
-            f"h={h}, k={k}: {count} candidate bases exceed the ceiling "
-            f"{max_candidates}"
-        )
-    best = -1
-    witnesses: list[Basis] = []
+    limit = DEFAULT_TABLE_LIMIT
+    visits = itertools.count(1)
+    best, found = -1, []
 
-    def visit(prefix: tuple[int, ...]) -> None:
-        nonlocal best
-        basis = Basis(prefix)
-        n = cover(basis, h)
+    def admit(top: int) -> None:
+        if next(visits) > max_candidates:
+            raise TooLargeError(f"h={h}, k={k}: more than {max_candidates} prefixes")
+        entries = _cover_bound(top, h) + 1
+        if entries > limit:
+            raise OverflowLimitError(
+                f"table would need {entries} entries, limit is {limit}"
+            )
+        if k > 1 and (h + 1) * entries > 64 * limit:
+            raise OverflowLimitError(
+                f"levels would need {(h + 1) * entries} bits, limit is {64 * limit}"
+            )
+
+    def visit(prefix: tuple[int, ...], levels: list[int]) -> None:
+        nonlocal best, found
+        reach = levels[h]
+        n = (~reach & (reach + 1)).bit_length() - 2
         slots = k - len(prefix)
         if not slots:
             if n > best:
-                best = n
-                witnesses.clear()
+                best, found = n, []
             if n == best:
-                witnesses.append(basis)
+                found.append(prefix)
             return
         # admissible next elements, capped so the remaining slots still fit
         for nxt in range(prefix[-1] + 1, min(n + 1, ak_ceiling - slots + 1) + 1):
-            visit(prefix + (nxt,))
+            admit(nxt)
+            child = [1]
+            for level in levels[1:]:
+                child.append(level | child[-1] << nxt)
+            visit(prefix + (nxt,), child)
 
-    visit((1,))
-    return ExtremalResult(h, k, ak_ceiling, best, tuple(witnesses))
+    admit(1)
+    if k == 1:
+        best, found = h, [(1,)]  # one stamp value reaches exactly 1..h
+    else:
+        visit((1,), [(2 << j) - 1 for j in range(h + 1)])
+    witnesses = tuple(map(Basis, found))
+    for witness in witnesses:
+        if cover(witness, h, limit=limit) != best:
+            raise AssertionError(f"witness {witness} does not cover {best}")
+    return ExtremalResult(h, k, ak_ceiling, best, witnesses)

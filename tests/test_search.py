@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,8 @@ from stampcover import (
     scan_conjecture,
     search_extremal,
 )
-from stampcover.errors import TooLargeError
+from stampcover.core import DEFAULT_TABLE_LIMIT, brute_force_cover
+from stampcover.errors import OverflowLimitError, TooLargeError
 
 REPORT_KEYS = [
     "basis",
@@ -361,9 +363,131 @@ def test_extremal_matches_exhaustive_search():
         (4, 5, 70, ["1,3,11,15,32"]),
         (5, 4, 71, ["1,4,12,21", "1,5,12,28"]),
         (3, 6, 52, ["1,3,7,9,19,24", "1,4,6,14,17,29"]),
+        (3, 7, 70, ["1,4,5,15,18,27,34"]),
+        (4, 6, 108, ["1,4,9,16,38,49", "1,5,8,27,29,44"]),
+        (5, 5, 126, ["1,4,9,31,51"]),
     ],
 )
 def test_extremal_goldens(h, k, n_star, witnesses):
     result = search_extremal(h, k, max_candidates=10**6)
     assert result.n_star == n_star
     assert [str(b) for b in result.witnesses] == witnesses
+
+
+# published values: Challis & Robinson, J. Integer Seq. 13 (2010)
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    ("h", "k", "n_star", "witnesses"),
+    [
+        (5, 6, 211, ["1,4,13,24,56,61", "1,5,8,33,54,67"]),
+        (3, 8, 93, ["1,3,6,10,24,26,39,41"]),
+        (4, 7, 162, ["1,4,9,24,35,49,51", "1,4,10,15,37,50,71", "1,5,8,25,31,52,71"]),
+    ],
+)
+def test_extremal_slow_goldens(h, k, n_star, witnesses):
+    result = search_extremal(h, k, max_candidates=10**8)
+    assert result.n_star == n_star
+    assert [str(b) for b in result.witnesses] == witnesses
+    for witness in result.witnesses:
+        assert brute_force_cover(witness, h) == n_star
+
+
+def _table_dfs(h, k, ceiling, visited, limit=DEFAULT_TABLE_LIMIT):
+    """The extremal DFS before reach levels: one table cover per prefix."""
+    best, found = -1, []
+
+    def visit(prefix):
+        nonlocal best, found
+        visited.append(prefix)
+        n = cover(Basis(prefix), h, limit=limit)
+        slots = k - len(prefix)
+        if not slots:
+            if n > best:
+                best, found = n, []
+            if n == best:
+                found.append(Basis(prefix))
+            return
+        for nxt in range(prefix[-1] + 1, min(n + 1, ceiling - slots + 1) + 1):
+            visit(prefix + (nxt,))
+
+    visit((1,))
+    return best, found
+
+
+def test_extremal_matches_table_dfs_prefix_for_prefix():
+    # same optimum and witnesses, and max_candidates counts exactly the
+    # prefixes the table-based search visited
+    boxes = 0
+    for h in range(1, 7):
+        for k in range(2, 7):
+            if h * k > 16:
+                continue
+            derived = search_extremal(h, k - 1).n_star + 1
+            for ceiling in range(k, derived + 4):
+                visited = []
+                best, found = _table_dfs(h, k, ceiling, visited)
+                result = search_extremal(h, k, ceiling, max_candidates=len(visited))
+                assert (result.n_star, list(result.witnesses)) == (best, found)
+                with pytest.raises(TooLargeError):
+                    search_extremal(h, k, ceiling, max_candidates=len(visited) - 1)
+                boxes += 1
+    assert boxes > 150
+
+
+def test_extremal_certifies_each_witness_once_on_the_table(monkeypatch):
+    certified = []
+
+    def skewed_cover(basis, h, **kwargs):
+        certified.append(str(basis))
+        return cover(basis, h, **kwargs) + (basis.top == 3)
+
+    monkeypatch.setattr(search, "cover", skewed_cover)
+    with pytest.raises(AssertionError, match="witness 1,3 does not cover 4"):
+        search_extremal(2, 2, 3)
+    assert certified == ["1,2", "1,3"]  # not the prefix (1)
+
+
+def test_extremal_default_budget_answers_three_six():
+    result = search_extremal(3, 6)
+    assert result.n_star == 52
+
+
+def test_extremal_table_limit_refuses_at_the_same_node(monkeypatch):
+    # the first prefix whose table of h * top + 2 entries passes 40 has top 13
+    monkeypatch.setattr(search, "DEFAULT_TABLE_LIMIT", 40)
+    visited = []
+    with pytest.raises(OverflowLimitError) as old:
+        _table_dfs(3, 4, 16, visited, limit=40)
+    assert visited[-1][-1] == 13 and len(visited) > 1
+    with pytest.raises(TooLargeError):
+        search_extremal(3, 4, 16, max_candidates=len(visited) - 1)
+    with pytest.raises(OverflowLimitError) as new:
+        search_extremal(3, 4, 16, max_candidates=len(visited))
+    assert str(new.value) == str(old.value)
+    assert str(new.value) == "table would need 41 entries, limit is 40"
+
+
+def test_extremal_level_guard_fires_before_levels_are_built(monkeypatch):
+    # at h >= 64 a table within the limit can still have h + 1 levels
+    # of more than 64 bits per entry of it
+    monkeypatch.setattr(search, "DEFAULT_TABLE_LIMIT", 130)
+    with pytest.raises(TooLargeError):
+        search_extremal(64, 2, 2, max_candidates=1)  # the root (1) passes
+    with pytest.raises(OverflowLimitError, match="8450 bits, limit is 8320"):
+        search_extremal(64, 2, 2)  # (1, 2): 130 entries, 65 levels
+    # at the root: its 4,097 levels would take about 1 MB
+    monkeypatch.setattr(search, "DEFAULT_TABLE_LIMIT", 4098)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowLimitError, match="bits, limit is 262272"):
+            search_extremal(4096, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_extremal_one_denomination_needs_no_levels():
+    # h + 1 levels of h + 2 bits would pass the level guard
+    result = search_extremal(10**6, 1)
+    assert (result.n_star, [str(b) for b in result.witnesses]) == (10**6, ["1"])
