@@ -23,7 +23,13 @@ from .errors import (
     WorkerDiedError,
 )
 from .families import family_a5, family_a9, family_a10
-from .search import ScanSpec, _dumps, run_scan, search_extremal
+from .search import (
+    DEFAULT_EXTREMAL_CEILING,
+    ScanSpec,
+    _dumps,
+    run_scan,
+    search_extremal,
+)
 
 EXIT_OK = 0
 EXIT_WORKER_DIED = 1
@@ -330,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_extremal.add_argument(
         "--max-candidates",
         type=_positive_int,
-        default=100_000,
+        default=DEFAULT_EXTREMAL_CEILING,
         help="refuse the search past this many visited prefixes",
     )
     _add_format_argument(p_extremal)

@@ -26,12 +26,9 @@ from .errors import (
 
 MAX_ELEMENT = 2**64 - 1
 
-# Sentinel weight meaning "no representation found yet"; larger than any
-# real stamp count so min() comparisons need no special casing.
-UNREACHABLE = 2**64
-
 # Refuse to allocate tables beyond this many entries (roughly 128 MB as a
-# Python list); desk-scale work stays far below it.
+# Python list); desk-scale work stays far below it.  Every refusal reads
+# this name when it is called.
 DEFAULT_TABLE_LIMIT = 1 << 24
 
 # Refuse brute-force enumerations beyond this many coefficient vectors.
@@ -172,45 +169,41 @@ class MinStampTable:
         return Generation(tuple(coeffs), x, need)
 
 
-def min_stamp_table(
-    basis: Basis, bound: int, *, limit: int = DEFAULT_TABLE_LIMIT
-) -> MinStampTable:
+def min_stamp_table(basis: Basis, bound: int) -> MinStampTable:
     """Minimal stamp counts for every value 0..bound by forward recurrence.
 
-    Runs in O(bound * k).  Raises OverflowLimitError, reporting the size it
-    would have needed, when bound + 1 exceeds ``limit``.
+    Runs in O(bound * k).  Every value is reachable, since 1 is in the
+    basis.  Raises OverflowLimitError, reporting the size it would have
+    needed, when bound + 1 exceeds DEFAULT_TABLE_LIMIT.
     """
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
+    limit = DEFAULT_TABLE_LIMIT
     if bound + 1 > limit:
         raise OverflowLimitError(
             f"table would need {bound + 1} entries, limit is {limit}"
         )
-    elems = basis.elements
-    stamps = [UNREACHABLE] * (bound + 1)
-    stamps[0] = 0
+    steps = basis.elements[1:]
+    stamps = [0] * (bound + 1)
     for x in range(1, bound + 1):
-        best = UNREACHABLE
-        for step in elems:
+        best = stamps[x - 1]  # one stamp of value 1
+        for step in steps:
             if step > x:
                 break  # elements ascend, so the rest are too big as well
             candidate = stamps[x - step]
             if candidate < best:
                 best = candidate
-        if best != UNREACHABLE:
-            stamps[x] = best + 1
+        stamps[x] = best + 1
     return MinStampTable(basis, bound, tuple(stamps))
 
 
-def find_generation(
-    basis: Basis, x: int, h: int, *, limit: int = DEFAULT_TABLE_LIMIT
-) -> Generation:
+def find_generation(basis: Basis, x: int, h: int) -> Generation:
     """A minimal-weight generation of x using at most h stamps."""
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x}")
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
-    table = min_stamp_table(basis, max(x, 1), limit=limit)
+    table = min_stamp_table(basis, max(x, 1))
     return table.generation(x, h)
 
 
@@ -253,7 +246,7 @@ def _cover_bound(top: int, h: int) -> int:
     return bound
 
 
-def cover(basis: Basis, h: int, *, limit: int = DEFAULT_TABLE_LIMIT) -> int:
+def cover(basis: Basis, h: int) -> int:
     """Largest n with every value 1..n a sum of at most h denominations.
 
     Always well defined: 1 is in the basis, so n >= h >= 1, and n can
@@ -262,7 +255,7 @@ def cover(basis: Basis, h: int, *, limit: int = DEFAULT_TABLE_LIMIT) -> int:
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
     bound = _cover_bound(basis.top, h)
-    stamps = min_stamp_table(basis, bound, limit=limit).min_stamps
+    stamps = min_stamp_table(basis, bound).min_stamps
     for x in range(1, bound + 1):
         if stamps[x] > h:
             return x - 1
@@ -279,9 +272,7 @@ def compute_h0(basis: Basis) -> int:
     return max(min_stamp_table(basis, basis.top + 1).min_stamps)
 
 
-def cover_profile(
-    basis: Basis, h_max: int, *, limit: int = DEFAULT_TABLE_LIMIT
-) -> CoverProfile:
+def cover_profile(basis: Basis, h_max: int) -> CoverProfile:
     """Covers for all budgets 1..h_max from one windowed bitset sweep.
 
     R_h = R_{h-1} | OR_a R_{h-1} << a, where bit i of ``reach`` is value
@@ -291,11 +282,13 @@ def cover_profile(
     is permanent (if 1..h*top is reachable, adding top reaches the rest of
     1..(h+1)*top), so the rows from the first saturated budget on are
     appended as (g, g * top, True) with no more shifts.  Refuses h_max * top
-    + 2 entries (the table it replaces) beyond ``limit``, before any shift.
+    + 2 entries (the table it replaces) beyond DEFAULT_TABLE_LIMIT, before
+    any shift.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
     entries = _cover_bound(basis.top, h_max) + 1
+    limit = DEFAULT_TABLE_LIMIT
     if entries > limit:
         raise OverflowLimitError(
             f"cover sweep would need {entries} entries, limit is {limit}"

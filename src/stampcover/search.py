@@ -3,8 +3,10 @@
 Three layers: enumerators that stream bases in lexicographic order,
 a conjecture scan that turns each basis into a report (with threads > 1
 on a process pool, imported only then, preserving order; a dead worker
-raises WorkerDiedError), and an append-only JSONL writer whose
-runs can be interrupted and resumed without changing the final bytes.
+raises WorkerDiedError), and an append-only JSONL writer whose runs can
+be interrupted and resumed without changing the final bytes.  A scan
+enumerates its box once: a resume replays the file against the head of
+that enumeration, line by line, and continues from where it stops.
 The extremal search maximises the cover over every basis of a given
 size, deriving a sound top-element ceiling when none is supplied.
 """
@@ -15,10 +17,11 @@ import itertools
 import json
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from . import core
 from .analysis import BasisReport, analyze, symmetrize_even, symmetrize_odd
-from .core import DEFAULT_TABLE_LIMIT, Basis, _cover_bound, cover, parse_basis
+from .core import Basis, _cover_bound, cover
 from .errors import OverflowLimitError, StampError, TooLargeError, WorkerDiedError
 
 # Refuse extremal searches that would visit more prefixes than this.
@@ -123,37 +126,21 @@ def _candidates(spec: ScanSpec) -> Iterator[Basis]:
     return enumerate_all_bases(spec.k, spec.ak_max)
 
 
-def _evaluate(job: tuple[tuple[int, ...], int | None]) -> BasisReport | ScanFailure:
+def _evaluate(job: tuple[Basis, int | None]) -> BasisReport | ScanFailure:
     """Analyze one basis; must stay top-level so worker processes can load it."""
-    elements, h_cap = job
-    basis = Basis(elements)
+    basis, h_cap = job
     try:
         return analyze(basis, cap=h_cap)
     except (StampError, ValueError) as exc:
         return ScanFailure(basis, f"{type(exc).__name__}: {exc}")
 
 
-def scan_conjecture(
-    spec: ScanSpec,
-    *,
-    threads: int = 1,
-    start_after: Basis | None = None,
+def _reports(
+    bases: Iterator[Basis], h_cap: int | None, threads: int
 ) -> Iterator[BasisReport | ScanFailure]:
-    """Reports for every basis in the box, in enumeration order.
-
-    ``start_after`` skips every basis up to and including the given one,
-    which is how resumed scans continue.  With ``threads`` > 1 the work
-    runs on a process pool, imported and created only then, but results
-    are still yielded in enumeration order, so the output stream does
-    not depend on the worker count.  A dead worker raises WorkerDiedError.
-    """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    bases = _candidates(spec)
-    if start_after is not None:
-        skip = start_after.elements
-        bases = itertools.dropwhile(lambda b: b.elements <= skip, bases)
-    jobs = ((basis.elements, spec.h_cap) for basis in bases)
+    jobs = ((basis, h_cap) for basis in bases)
     if threads == 1:
         yield from map(_evaluate, jobs)
         return
@@ -165,6 +152,19 @@ def scan_conjecture(
         raise WorkerDiedError("a scan worker died") from exc
 
 
+def scan_conjecture(
+    spec: ScanSpec, *, threads: int = 1
+) -> Iterator[BasisReport | ScanFailure]:
+    """Reports for every basis in the box, in enumeration order.
+
+    With ``threads`` > 1 the work runs on a process pool, imported and
+    created only then, but results are still yielded in enumeration
+    order, so the output stream does not depend on the worker count.
+    A dead worker raises WorkerDiedError.
+    """
+    return _reports(_candidates(spec), spec.h_cap, threads)
+
+
 # ---------- persistence ----------
 
 
@@ -172,64 +172,49 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class _ResumeState:
-    offset: int  # byte length of the complete-line prefix
-    bases: list[str]  # basis text of every complete record, in file order
-    counterexamples: int
-    summary: dict | None
+def _replay(
+    spec: ScanSpec, out_path: str, bases: Iterator[Basis]
+) -> tuple[int, int, int | None]:
+    """Match the records on disk against ``bases``, one line at a time.
 
-
-def _read_resume_state(out_path: str) -> _ResumeState:
-    """Replay the complete JSONL lines already on disk.
-
-    Anything after the last complete, parseable line (a torn final line
-    from an interrupted run) is treated as garbage to truncate.  The
-    output file itself is the authority on how far the scan got.
+    Each complete record must hold the next basis of ``bases``, and a
+    summary must end the box and agree with the records before it;
+    otherwise ValueError.  Anything from the first torn (no trailing
+    newline) or unparseable line on is what an interrupted run left.
+    Returns the records, their counterexamples, and the byte length of
+    the lines to keep, which is None when the file ends in a summary.
     """
+    foreign = ValueError(
+        f"{out_path} does not hold a scan of the box k={spec.k} "
+        f"ak_max={spec.ak_max} mode={spec.mode}; refusing to resume"
+    )
+    offset = scanned = counterexamples = 0
     with open(out_path, "rb") as fh:
-        raw = fh.read()
-    offset = 0
-    bases = []
-    counterexamples = 0
-    summary = None
-    for line in raw.split(b"\n"):
-        end = offset + len(line) + 1
-        if end > len(raw):
-            break  # no trailing newline: torn line
-        try:
-            obj = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            break
-        if not isinstance(obj, dict):
-            break
-        if "summary" in obj:
-            summary = obj["summary"]
-            offset = end
-            break
-        if "basis" not in obj:
-            break
-        if obj.get("counterexample") is True:
-            counterexamples += 1
-        bases.append(obj["basis"])
-        offset = end
-    return _ResumeState(offset, bases, counterexamples, summary)
-
-
-def _check_resumable(spec: ScanSpec, out_path: str, state: _ResumeState) -> None:
-    """Refuse a file whose records are not a prefix of this box's scan.
-
-    A finished file must hold the whole box.  ``h_cap`` is not recorded
-    in the file, so a resume cannot tell it changed.
-    """
-    expected = (str(basis) for basis in _candidates(spec))
-    prefix = list(itertools.islice(expected, len(state.bases)))
-    finished = state.summary is not None
-    if state.bases != prefix or (finished and next(expected, None) is not None):
-        raise ValueError(
-            f"{out_path} does not hold a scan of the box k={spec.k} "
-            f"ak_max={spec.ak_max} mode={spec.mode}; refusing to resume"
-        )
+        for line in fh:
+            try:
+                obj = json.loads(line.decode("utf-8")) if line.endswith(b"\n") else None
+            except ValueError:  # UnicodeDecodeError included
+                break
+            if not isinstance(obj, dict) or not ("summary" in obj or "basis" in obj):
+                break
+            expected = next(bases, None)
+            if "summary" not in obj:
+                if expected is None or obj["basis"] != str(expected):
+                    raise foreign
+                scanned += 1
+                counterexamples += obj.get("counterexample") is True
+                offset += len(line)
+                continue
+            if expected is not None:
+                raise foreign
+            if obj["summary"] != asdict(ScanSummary(scanned, counterexamples)):
+                raise ValueError(
+                    f"{out_path} holds {scanned} records with {counterexamples} "
+                    f"counterexamples, but its summary says {_dumps(obj['summary'])}; "
+                    "refusing to resume"
+                )
+            return scanned, counterexamples, None
+    return scanned, counterexamples, offset
 
 
 def run_scan(
@@ -242,52 +227,36 @@ def run_scan(
     """Scan the box, appending one JSON line per basis to ``out_path``.
 
     The final line is ``{"summary": {"scanned": N, "counterexamples": M}}``.
-    With ``resume=True`` an interrupted output file is truncated to its
-    last complete line and the scan continues after the last recorded
-    basis; a file that already ends in a summary is left untouched.  The
-    bytes produced by run-to-completion and by any interrupt/resume
-    sequence are identical.  Resuming a file whose records are not the
-    start of this box's enumeration (or, once finished, the whole box)
-    raises ValueError and leaves the file as it was.
+    The box is enumerated once.  With ``resume=True`` the records on disk
+    are replayed line by line against the head of that enumeration, so
+    memory does not grow with the file; an interrupted file is truncated
+    after its last complete record and the scan continues the same
+    enumeration, and a finished file is left untouched.  The bytes of
+    run-to-completion and of any interrupt/resume sequence are identical.
+    Resuming a file whose records are not the start of this box's
+    enumeration (or, once finished, the whole box), or whose summary
+    disagrees with its records, raises ValueError and leaves the file as
+    it was.  ``h_cap`` is not recorded in the file, so a resume cannot
+    tell it changed.
     """
-    scanned = 0
-    counterexamples = 0
-    start_after = None
+    bases = _candidates(spec)
+    scanned = counterexamples = 0
     mode = "w"
     if resume and os.path.exists(out_path):
-        state = _read_resume_state(out_path)
-        _check_resumable(spec, out_path, state)
-        if state.summary is not None:
-            return ScanSummary(
-                int(state.summary["scanned"]),
-                int(state.summary["counterexamples"]),
-            )
-        with open(out_path, "r+b") as fh:
-            fh.truncate(state.offset)
-        scanned = len(state.bases)
-        counterexamples = state.counterexamples
-        if state.bases:
-            start_after = parse_basis(state.bases[-1])
+        scanned, counterexamples, offset = _replay(spec, out_path, bases)
+        if offset is None:
+            return ScanSummary(scanned, counterexamples)
+        os.truncate(out_path, offset)
         mode = "a"
     with open(out_path, mode, encoding="utf-8", newline="\n") as fh:
-        for item in scan_conjecture(spec, threads=threads, start_after=start_after):
+        for item in _reports(bases, spec.h_cap, threads):
             fh.write(_dumps(item.to_json_dict()) + "\n")
             fh.flush()
             scanned += 1
             if isinstance(item, BasisReport) and item.counterexample:
                 counterexamples += 1
         summary = ScanSummary(scanned, counterexamples)
-        fh.write(
-            _dumps(
-                {
-                    "summary": {
-                        "scanned": summary.scanned,
-                        "counterexamples": summary.counterexamples,
-                    }
-                }
-            )
-            + "\n"
-        )
+        fh.write(_dumps({"summary": asdict(summary)}) + "\n")
     return summary
 
 
@@ -351,7 +320,7 @@ def search_extremal(
         raise ValueError(
             f"ak_ceiling {ak_ceiling} cannot fit {k} increasing elements"
         )
-    limit = DEFAULT_TABLE_LIMIT
+    limit = core.DEFAULT_TABLE_LIMIT
     visits = itertools.count(1)
     best, found = -1, []
 
@@ -394,6 +363,6 @@ def search_extremal(
         visit((1,), [(2 << j) - 1 for j in range(h + 1)])
     witnesses = tuple(map(Basis, found))
     for witness in witnesses:
-        if cover(witness, h, limit=limit) != best:
+        if cover(witness, h) != best:
             raise AssertionError(f"witness {witness} does not cover {best}")
     return ExtremalResult(h, k, ak_ceiling, best, witnesses)

@@ -231,9 +231,27 @@ def test_scan_resume_refuses_another_box(tmp_path, capsys):
     assert out.read_bytes() == finished
 
 
+def test_scan_resume_refuses_a_summary_its_records_do_not_match(tmp_path, capsys):
+    out = tmp_path / "k4.jsonl"
+    args = ["scan", "--k", "4", "--ak-max", "280", "--out", str(out)]
+    assert main(args) == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert lines[-1] == b'{"summary":{"scanned":139,"counterexamples":0}}\n'
+    tampered = b"".join(lines[:-1]) + b'{"summary":{"scanned":999,"counterexamples":7}}\n'
+    out.write_bytes(tampered)
+    capsys.readouterr()
+    assert main(args + ["--resume"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: {out} holds 139 records with 0 counterexamples, but its summary "
+        'says {"scanned":999,"counterexamples":7}; refusing to resume\n',
+    )
+    assert out.read_bytes() == tampered
+
+
 def _die_on_1_6_15_20_21(job):
     """Scan evaluator that kills its worker process on one basis."""
-    if job[0] == (1, 6, 15, 20, 21):
+    if job[0].elements == (1, 6, 15, 20, 21):
         os._exit(1)
     return _REAL_EVALUATE(job)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stampcover.core as core
 from stampcover import (
     Basis,
     analyze,
@@ -120,11 +121,13 @@ def test_refusals_fire_before_a_sweep_that_would_saturate_at_once():
     assert "64 bits" in str(excinfo.value)
 
 
-def test_sweep_refuses_beyond_the_limit_in_table_entries():
+def test_sweep_refuses_beyond_the_limit_in_table_entries(monkeypatch):
     basis = Basis((1, 3, 10))
-    cover_profile(basis, 5, limit=5 * 10 + 2)
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 5 * 10 + 2)
+    cover_profile(basis, 5)
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 5 * 10 + 1)
     with pytest.raises(OverflowLimitError) as excinfo:
-        cover_profile(basis, 5, limit=5 * 10 + 1)
+        cover_profile(basis, 5)
     assert "52 entries" in str(excinfo.value)
 
 

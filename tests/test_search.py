@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+import stampcover.core as core
 import stampcover.search as search
 from stampcover import (
     Basis,
@@ -23,7 +24,7 @@ from stampcover import (
     scan_conjecture,
     search_extremal,
 )
-from stampcover.core import DEFAULT_TABLE_LIMIT, brute_force_cover
+from stampcover.core import brute_force_cover
 from stampcover.errors import OverflowLimitError, TooLargeError
 
 REPORT_KEYS = [
@@ -110,14 +111,6 @@ def test_scan_records_failures_and_continues():
     assert "threshold" in results[0].error
 
 
-def test_scan_start_after_matches_tail():
-    spec = ScanSpec(k=4, ak_max=16)
-    full = list(scan_conjecture(spec))
-    anchor = full[4].basis
-    tail = list(scan_conjecture(spec, start_after=anchor))
-    assert tail == full[5:]
-
-
 def test_scan_threads_do_not_change_results():
     spec = ScanSpec(k=5, ak_max=20)
     assert list(scan_conjecture(spec)) == list(scan_conjecture(spec, threads=4))
@@ -127,6 +120,26 @@ def test_scan_all_mode_covers_every_basis():
     spec = ScanSpec(k=3, ak_max=8, mode="all", h_cap=8)
     results = list(scan_conjecture(spec))
     assert len(results) == math.comb(7, 2)
+
+
+def test_scan_validates_each_basis_once_past_its_enumerator(tmp_path, monkeypatch):
+    # a symmetric basis is built from its half, then mirrored; nothing
+    # downstream of the enumerator builds it again
+    builds = []
+    real_post_init = Basis.__post_init__
+
+    def counted(self):
+        builds.append(self.elements)
+        real_post_init(self)
+
+    monkeypatch.setattr(Basis, "__post_init__", counted)
+    for spec, per_basis in [
+        (ScanSpec(k=5, ak_max=20), 2),
+        (ScanSpec(k=3, ak_max=12, mode="all"), 1),
+    ]:
+        builds.clear()
+        summary = run_scan(spec, str(tmp_path / "scan.jsonl"))
+        assert len(builds) == per_basis * summary.scanned
 
 
 # ---------- persistence ----------
@@ -179,6 +192,65 @@ def test_interrupted_scan_resumes_to_identical_bytes(tmp_path, monkeypatch):
     summary = run_scan(spec, str(out), resume=True)
     assert out.read_bytes() == expected
     assert summary == reference
+
+
+def test_resume_continues_after_the_last_record(tmp_path, monkeypatch):
+    spec = ScanSpec(k=4, ak_max=16)
+    expected, reference = _reference_scan(tmp_path, spec)
+    out = tmp_path / "head.jsonl"
+    out.write_bytes(b"".join(expected.splitlines(keepends=True)[:5]))
+
+    analyzed = []
+    real_evaluate = search._evaluate
+
+    def recording(job):
+        analyzed.append(job[0])
+        return real_evaluate(job)
+
+    monkeypatch.setattr(search, "_evaluate", recording)
+    assert run_scan(spec, str(out), resume=True) == reference
+    assert out.read_bytes() == expected
+    assert analyzed == list(enumerate_symmetric(4, 16))[5:]
+
+
+def test_resume_enumerates_the_box_once(tmp_path, monkeypatch):
+    spec = ScanSpec(k=4, ak_max=14)
+    expected, reference = _reference_scan(tmp_path, spec)
+    calls, drawn = [], []
+    real_enumerate = search.enumerate_symmetric
+
+    def counted(k, ak_max):
+        calls.append((k, ak_max))
+        for basis in real_enumerate(k, ak_max):
+            drawn.append(basis)
+            yield basis
+
+    monkeypatch.setattr(search, "enumerate_symmetric", counted)
+    out = tmp_path / "torn.jsonl"
+    lines = expected.split(b"\n")
+    out.write_bytes(b"\n".join(lines[:3]) + b"\n" + lines[3][:7])
+    assert run_scan(spec, str(out), resume=True) == reference
+    assert out.read_bytes() == expected
+    assert calls == [(4, 14)] and len(drawn) == reference.scanned
+
+    calls.clear()
+    drawn.clear()
+    assert run_scan(spec, str(out), resume=True) == reference  # finished
+    assert calls == [(4, 14)] and len(drawn) == reference.scanned
+
+
+def test_resume_of_a_finished_file_does_not_hold_it(tmp_path):
+    spec = ScanSpec(k=9, ak_max=40)
+    out = tmp_path / "done.jsonl"
+    reference = run_scan(spec, str(out))
+    size = out.stat().st_size
+    tracemalloc.start()
+    try:
+        assert run_scan(spec, str(out), resume=True) == reference
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 10
 
 
 def test_resume_truncates_torn_final_line(tmp_path):
@@ -246,6 +318,25 @@ def test_resume_refuses_finished_scan_of_another_box(tmp_path):
         with pytest.raises(ValueError, match="refusing to resume"):
             run_scan(spec, str(out), resume=True)
         assert out.read_bytes() == expected
+
+
+def test_resume_refuses_a_summary_that_disagrees_with_its_records(tmp_path):
+    spec = ScanSpec(k=9, ak_max=28)
+    expected, reference = _reference_scan(tmp_path, spec)
+    assert (reference.scanned, reference.counterexamples) == (1430, 1)
+    records = b"".join(expected.splitlines(keepends=True)[:-1])
+    out = tmp_path / "tampered.jsonl"
+    for summary in [
+        {"scanned": 1431, "counterexamples": 1},
+        {"scanned": 1430, "counterexamples": 0},
+        {"scanned": 1430},
+        [1430, 1],
+    ]:
+        tampered = records + json.dumps({"summary": summary}).encode() + b"\n"
+        out.write_bytes(tampered)
+        with pytest.raises(ValueError, match="1430 records with 1 counterexamples"):
+            run_scan(spec, str(out), resume=True)
+        assert out.read_bytes() == tampered
 
 
 def test_fresh_run_overwrites_without_resume(tmp_path):
@@ -392,14 +483,14 @@ def test_extremal_slow_goldens(h, k, n_star, witnesses):
         assert brute_force_cover(witness, h) == n_star
 
 
-def _table_dfs(h, k, ceiling, visited, limit=DEFAULT_TABLE_LIMIT):
+def _table_dfs(h, k, ceiling, visited):
     """The extremal DFS before reach levels: one table cover per prefix."""
     best, found = -1, []
 
     def visit(prefix):
         nonlocal best, found
         visited.append(prefix)
-        n = cover(Basis(prefix), h, limit=limit)
+        n = cover(Basis(prefix), h)
         slots = k - len(prefix)
         if not slots:
             if n > best:
@@ -454,10 +545,10 @@ def test_extremal_default_budget_answers_three_six():
 
 def test_extremal_table_limit_refuses_at_the_same_node(monkeypatch):
     # the first prefix whose table of h * top + 2 entries passes 40 has top 13
-    monkeypatch.setattr(search, "DEFAULT_TABLE_LIMIT", 40)
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 40)
     visited = []
     with pytest.raises(OverflowLimitError) as old:
-        _table_dfs(3, 4, 16, visited, limit=40)
+        _table_dfs(3, 4, 16, visited)
     assert visited[-1][-1] == 13 and len(visited) > 1
     with pytest.raises(TooLargeError):
         search_extremal(3, 4, 16, max_candidates=len(visited) - 1)
@@ -470,13 +561,13 @@ def test_extremal_table_limit_refuses_at_the_same_node(monkeypatch):
 def test_extremal_level_guard_fires_before_levels_are_built(monkeypatch):
     # at h >= 64 a table within the limit can still have h + 1 levels
     # of more than 64 bits per entry of it
-    monkeypatch.setattr(search, "DEFAULT_TABLE_LIMIT", 130)
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 130)
     with pytest.raises(TooLargeError):
         search_extremal(64, 2, 2, max_candidates=1)  # the root (1) passes
     with pytest.raises(OverflowLimitError, match="8450 bits, limit is 8320"):
         search_extremal(64, 2, 2)  # (1, 2): 130 entries, 65 levels
     # at the root: its 4,097 levels would take about 1 MB
-    monkeypatch.setattr(search, "DEFAULT_TABLE_LIMIT", 4098)
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 4098)
     tracemalloc.start()
     try:
         with pytest.raises(OverflowLimitError, match="bits, limit is 262272"):
