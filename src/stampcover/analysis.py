@@ -10,9 +10,7 @@ threshold h1 into the window [h0, max(h0, 2*h0 - 2)].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Basis, Generation, compute_h0, cover_profile
+from .core import Basis, Generation, _Frozen, _set, compute_h0, cover_profile
 from .errors import (
     NotSymmetricError,
     UsesTopElementError,
@@ -47,33 +45,35 @@ def is_symmetric(basis: Basis) -> bool:
     return all(elems[i] + elems[k - 2 - i] == top for i in range(k - 1))
 
 
+def _mirror(half: tuple[int, ...], odd: bool) -> tuple[int, ...]:
+    """The symmetric elements with lower half ``half`` and k = 2m - 1 or 2m.
+
+    The top is a_m + a_{m-1} (odd) or 2 * a_m (even); the slots between
+    follow the mirror rule a_{k-i} = a_k - a_i.
+    """
+    if odd:
+        top, lower = half[-1] + half[-2], half[:-2]
+    else:
+        top, lower = 2 * half[-1], half[:-1]
+    return half + tuple(top - value for value in reversed(lower)) + (top,)
+
+
 def symmetrize_odd(half: Basis) -> Basis:
     """Extend m >= 2 elements to the symmetric basis with k = 2m - 1.
 
-    The given elements become the lower half; the top is a_m + a_{m-1}
-    and each remaining slot is filled by the mirror rule a_{k-i} =
-    a_k - a_i.
+    The given elements become the lower half; the top is a_m + a_{m-1}.
     """
-    m = half.k
-    if m < 2:
+    if half.k < 2:
         raise ValueError("need at least two elements for an odd extension")
-    elems = half.elements
-    top = elems[-1] + elems[-2]
-    mirrored = tuple(top - value for value in reversed(elems[: m - 2]))
-    return Basis(elems + mirrored + (top,))
+    return Basis(_mirror(half.elements, odd=True))
 
 
 def symmetrize_even(half: Basis) -> Basis:
     """Extend m >= 1 elements to the symmetric basis with k = 2m.
 
-    The top is 2 * a_m; each remaining slot is filled by the mirror rule
-    a_{k-i} = a_k - a_i.
+    The given elements become the lower half; the top is 2 * a_m.
     """
-    m = half.k
-    elems = half.elements
-    top = 2 * elems[-1]
-    mirrored = tuple(top - value for value in reversed(elems[: m - 1]))
-    return Basis(elems + mirrored + (top,))
+    return Basis(_mirror(half.elements, odd=False))
 
 
 # ---------- admissibility thresholds ----------
@@ -127,8 +127,7 @@ def reflect_generation(basis: Basis, gen: Generation, h0: int) -> Generation:
 # ---------- reports ----------
 
 
-@dataclass(frozen=True)
-class BasisReport:
+class BasisReport(_Frozen):
     """Everything the conjecture check needs to know about one basis.
 
     ``h1`` is None when no saturating budget exists up to ``h1_cap``.
@@ -136,14 +135,23 @@ class BasisReport:
     capped strictly above h0; for non-symmetric bases it stays False.
     """
 
-    basis: Basis
-    symmetric: bool
-    h0: int
-    h1: int | None
-    h1_cap: int
-    theorem_bound: int
-    conjecture_holds: bool
-    counterexample: bool
+    _fields = (
+        "basis", "symmetric", "h0", "h1", "h1_cap", "theorem_bound",
+        "conjecture_holds", "counterexample",
+    )
+
+    def __init__(
+        self, basis: Basis, symmetric: bool, h0: int, h1: int | None, h1_cap: int,
+        theorem_bound: int, conjecture_holds: bool, counterexample: bool,
+    ) -> None:
+        _set(self, "basis", basis)
+        _set(self, "symmetric", symmetric)
+        _set(self, "h0", h0)
+        _set(self, "h1", h1)
+        _set(self, "h1_cap", h1_cap)
+        _set(self, "theorem_bound", theorem_bound)
+        _set(self, "conjecture_holds", conjecture_holds)
+        _set(self, "counterexample", counterexample)
 
     def to_json_dict(self) -> dict:
         """Stable-order dict for JSON output; do not reorder the keys."""
@@ -163,8 +171,9 @@ class BasisReport:
 def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     """Full admissibility report for one basis.
 
-    h0 comes from ``compute_h0``, h1 from the first saturated row from
-    h0 on of one ``cover_profile`` up to the cap.  When ``cap`` is None
+    h0 comes from ``compute_h0``, h1 from the first saturated budget from
+    h0 on of one ``cover_profile`` up to the cap (saturation is permanent,
+    so that is h0 or the profile's ``saturated_at``).  When ``cap`` is None
     it defaults to the proven saturation window max(h0, 2*h0 - 2) for
     symmetric bases, else to max(64, h0) so the search is always well
     defined.  An explicit cap below h0 raises ValueError.
@@ -176,8 +185,8 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
         cap = bound if symmetric else max(DEFAULT_H1_CAP, h0)
     if cap < h0:
         raise ValueError(f"cap {cap} is below the admissibility threshold {h0}")
-    rows = cover_profile(basis, cap).rows[h0 - 1 :]
-    h1 = next((row.h for row in rows if row.saturated), None)
+    saturated_at = cover_profile(basis, cap).saturated_at
+    h1 = None if saturated_at is None else max(h0, saturated_at)
     conjecture_holds = h1 == h0
     return BasisReport(
         basis=basis,

@@ -124,18 +124,18 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     fmt = "jsonl" if from_file else _pick_format(args.format)
     for basis in bases:
         if args.profile:
-            profile = cover_profile(basis, args.h)
+            rows = cover_profile(basis, args.h).rows
             payload = {
                 "basis": str(basis),
                 "h_max": args.h,
                 "rows": [
                     {"h": row.h, "cover": row.cover, "saturated": row.saturated}
-                    for row in profile.rows
+                    for row in rows
                 ],
             }
             if fmt == "table":
                 print(f"basis = {basis}")
-                for row in profile.rows:
+                for row in rows:
                     mark = "  saturated" if row.saturated else ""
                     print(f"h={row.h} cover={row.cover}{mark}")
             else:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import (
     InvalidBasisError,
@@ -35,18 +34,61 @@ DEFAULT_TABLE_LIMIT = 1 << 24
 DEFAULT_ENUMERATION_CEILING = 10**8
 
 
+# ---------- values ----------
+
+_set = object.__setattr__  # skips _Frozen.__setattr__; no __dict__ is materialized
+
+
+class _Frozen:
+    """Immutable value: equality, hash and repr over the names in ``_fields``.
+
+    ``__init__`` sets each field with ``_set``; pickle restores the instance
+    dict directly, so an unpickled value is not validated again.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order (shallow: values are not converted)."""
+        return {name: getattr(self, name) for name in self._fields}
+
+
 # ---------- basis ----------
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(_Frozen):
     """Strictly increasing stamp denominations, smallest always 1."""
 
-    elements: tuple[int, ...]
+    _fields = ("elements",)
 
-    def __post_init__(self) -> None:
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
+    def __init__(self, elements: tuple[int, ...]) -> None:
+        _set(self, "elements", tuple(elements))
+        self._validate()
+
+    def _validate(self) -> None:
+        """Raise the InvalidBasisError naming the first defect, if any."""
+        elems = self.elements
         if not elems:
             raise InvalidBasisError("a basis needs at least one element")
         for value in elems:
@@ -108,36 +150,35 @@ def parse_basis(text: str) -> Basis:
 # ---------- generations ----------
 
 
-@dataclass(frozen=True)
-class Generation:
+class Generation(_Frozen):
     """One representation of ``value`` as a multiset of denominations.
 
     ``coefficients[i]`` counts copies of the i-th denomination; ``weight``
     is the total number of stamps used.
     """
 
-    coefficients: tuple[int, ...]
-    value: int
-    weight: int
+    _fields = ("coefficients", "value", "weight")
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
+    def __init__(self, coefficients: tuple[int, ...], value: int, weight: int) -> None:
+        coeffs = tuple(coefficients)
         if any(c < 0 for c in coeffs):
             raise ValueError("coefficients must be non-negative")
-        if self.weight != sum(coeffs):
-            raise ValueError(
-                f"weight {self.weight} does not match coefficients {coeffs}"
-            )
+        if weight != sum(coeffs):
+            raise ValueError(f"weight {weight} does not match coefficients {coeffs}")
+        _set(self, "coefficients", coeffs)
+        _set(self, "value", value)
+        _set(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class MinStampTable:
+class MinStampTable(_Frozen):
     """``min_stamps[x]`` = fewest stamps summing to x, for 0 <= x <= bound."""
 
-    basis: Basis
-    bound: int
-    min_stamps: tuple[int, ...]
+    _fields = ("basis", "bound", "min_stamps")
+
+    def __init__(self, basis: Basis, bound: int, min_stamps: tuple[int, ...]) -> None:
+        _set(self, "basis", basis)
+        _set(self, "bound", bound)
+        _set(self, "min_stamps", min_stamps)
 
     def generation(self, x: int, budget: int) -> Generation:
         """Reconstruct a minimal-weight generation of x, or refuse.
@@ -210,30 +251,45 @@ def find_generation(basis: Basis, x: int, h: int) -> Generation:
 # ---------- covers ----------
 
 
-@dataclass(frozen=True)
-class CoverRow:
+class CoverRow(_Frozen):
     """Cover at one budget; saturated means it reached h * top."""
 
-    h: int
-    cover: int
-    saturated: bool
+    _fields = ("h", "cover", "saturated")
+
+    def __init__(self, h: int, cover: int, saturated: bool) -> None:
+        _set(self, "h", h)
+        _set(self, "cover", cover)
+        _set(self, "saturated", saturated)
 
 
-@dataclass(frozen=True)
-class CoverProfile:
-    """Covers for every budget 1..h_max of one basis."""
+class CoverProfile(_Frozen):
+    """Covers for every budget 1..h_max of one basis.
 
-    basis: Basis
-    rows: tuple[CoverRow, ...]
+    ``covers`` holds the covers of the budgets below ``saturated_at``, the
+    first saturated budget (None when none up to h_max saturates); from
+    there on the cover is h * top.  ``rows`` is built each time it is read.
+    """
 
-    @property
-    def h_max(self) -> int:
-        return len(self.rows)
+    _fields = ("basis", "rows")
+
+    def __init__(self, basis: Basis, h_max: int, covers: tuple[int, ...]) -> None:
+        _set(self, "basis", basis)
+        _set(self, "h_max", h_max)
+        _set(self, "_covers", covers)
+        _set(self, "saturated_at", len(covers) + 1 if len(covers) < h_max else None)
 
     def cover(self, h: int) -> int:
-        if not 1 <= h <= len(self.rows):
-            raise ValueError(f"h must be in 1..{len(self.rows)}, got {h}")
-        return self.rows[h - 1].cover
+        if not 1 <= h <= self.h_max:
+            raise ValueError(f"h must be in 1..{self.h_max}, got {h}")
+        covers = self._covers
+        return covers[h - 1] if h <= len(covers) else h * self.basis.top
+
+    @property
+    def rows(self) -> tuple[CoverRow, ...]:
+        top, first = self.basis.top, len(self._covers) + 1
+        rows = [CoverRow(h, n, False) for h, n in enumerate(self._covers, start=1)]
+        rows += (CoverRow(h, h * top, True) for h in range(first, self.h_max + 1))
+        return tuple(rows)
 
 
 def _cover_bound(top: int, h: int) -> int:
@@ -280,10 +336,9 @@ def cover_profile(basis: Basis, h_max: int) -> CoverProfile:
     below n + 1 - top is reachable and a shift by a <= top carries it to
     at most n, so the window drops those bits after each budget.  Saturation
     is permanent (if 1..h*top is reachable, adding top reaches the rest of
-    1..(h+1)*top), so the rows from the first saturated budget on are
-    appended as (g, g * top, True) with no more shifts.  Refuses h_max * top
-    + 2 entries (the table it replaces) beyond DEFAULT_TABLE_LIMIT, before
-    any shift.
+    1..(h+1)*top), so the sweep stops at the first saturated budget and the
+    profile answers g * top from there on.  Refuses h_max * top + 2 entries
+    (the table it replaces) beyond DEFAULT_TABLE_LIMIT, before any shift.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
@@ -296,7 +351,7 @@ def cover_profile(basis: Basis, h_max: int) -> CoverProfile:
     top = basis.top
     reach = 1  # only 0, with no stamps
     base = 0
-    rows = []
+    covers = []
     for h in range(1, h_max + 1):
         grown = reach
         for step in basis.elements:
@@ -304,14 +359,13 @@ def cover_profile(basis: Basis, h_max: int) -> CoverProfile:
         reach = grown
         n = base + (~reach & (reach + 1)).bit_length() - 2
         if n == h * top:
-            rows += (CoverRow(g, g * top, True) for g in range(h, h_max + 1))
             break
-        rows.append(CoverRow(h, n, False))
+        covers.append(n)
         drop = n + 1 - top - base
         if drop > 0:
             reach >>= drop
             base += drop
-    return CoverProfile(basis, tuple(rows))
+    return CoverProfile(basis, h_max, tuple(covers))
 
 
 def brute_force_cover(

@@ -17,11 +17,10 @@ import itertools
 import json
 import os
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
 
 from . import core
-from .analysis import BasisReport, analyze, symmetrize_even, symmetrize_odd
-from .core import Basis, _cover_bound, cover
+from .analysis import BasisReport, _mirror, analyze
+from .core import Basis, _cover_bound, _Frozen, _set, cover
 from .errors import OverflowLimitError, StampError, TooLargeError, WorkerDiedError
 
 # Refuse extremal searches that would visit more prefixes than this.
@@ -51,7 +50,8 @@ def enumerate_symmetric(k: int, ak_max: int) -> Iterator[Basis]:
 
     A symmetric basis is determined by its lower half, so the stream
     walks the halves in lexicographic order (which matches lexicographic
-    order of the full bases) and mirrors each one.
+    order of the full bases) and mirrors each one; only the full basis
+    is built and validated.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -66,45 +66,46 @@ def enumerate_symmetric(k: int, ak_max: int) -> Iterator[Basis]:
             half = (1,) + mid
             if half[-1] + half[-2] > ak_max:
                 continue
-            yield symmetrize_odd(Basis(half))
+            yield Basis(_mirror(half, odd=True))
     else:
         m = k // 2
         for mid in itertools.combinations(range(2, ak_max // 2 + 1), m - 1):
-            half = (1,) + mid
-            yield symmetrize_even(Basis(half))
+            yield Basis(_mirror((1,) + mid, odd=False))
 
 
 # ---------- conjecture scan ----------
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(_Frozen):
     """One scan box: basis size, top-element cap, h1 cap, enumeration mode."""
 
-    k: int
-    ak_max: int
-    h_cap: int | None = None
-    mode: str = "symmetric"
+    _fields = ("k", "ak_max", "h_cap", "mode")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.ak_max < self.k:
-            raise ValueError(
-                f"ak_max {self.ak_max} cannot fit {self.k} increasing elements"
-            )
-        if self.mode not in ("symmetric", "all"):
-            raise ValueError(f"mode must be 'symmetric' or 'all', got {self.mode!r}")
-        if self.h_cap is not None and self.h_cap < 1:
-            raise ValueError(f"h_cap must be at least 1, got {self.h_cap}")
+    def __init__(
+        self, k: int, ak_max: int, h_cap: int | None = None, mode: str = "symmetric"
+    ) -> None:
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        if ak_max < k:
+            raise ValueError(f"ak_max {ak_max} cannot fit {k} increasing elements")
+        if mode not in ("symmetric", "all"):
+            raise ValueError(f"mode must be 'symmetric' or 'all', got {mode!r}")
+        if h_cap is not None and h_cap < 1:
+            raise ValueError(f"h_cap must be at least 1, got {h_cap}")
+        _set(self, "k", k)
+        _set(self, "ak_max", ak_max)
+        _set(self, "h_cap", h_cap)
+        _set(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class ScanFailure:
+class ScanFailure(_Frozen):
     """A basis the scan could not analyze; the scan itself continues."""
 
-    basis: Basis
-    error: str
+    _fields = ("basis", "error")
+
+    def __init__(self, basis: Basis, error: str) -> None:
+        _set(self, "basis", basis)
+        _set(self, "error", error)
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,10 +115,12 @@ class ScanFailure:
         }
 
 
-@dataclass(frozen=True)
-class ScanSummary:
-    scanned: int
-    counterexamples: int
+class ScanSummary(_Frozen):
+    _fields = ("scanned", "counterexamples")
+
+    def __init__(self, scanned: int, counterexamples: int) -> None:
+        _set(self, "scanned", scanned)
+        _set(self, "counterexamples", counterexamples)
 
 
 def _candidates(spec: ScanSpec) -> Iterator[Basis]:
@@ -207,7 +210,7 @@ def _replay(
                 continue
             if expected is not None:
                 raise foreign
-            if obj["summary"] != asdict(ScanSummary(scanned, counterexamples)):
+            if obj["summary"] != ScanSummary(scanned, counterexamples)._asdict():
                 raise ValueError(
                     f"{out_path} holds {scanned} records with {counterexamples} "
                     f"counterexamples, but its summary says {_dumps(obj['summary'])}; "
@@ -256,22 +259,26 @@ def run_scan(
             if isinstance(item, BasisReport) and item.counterexample:
                 counterexamples += 1
         summary = ScanSummary(scanned, counterexamples)
-        fh.write(_dumps({"summary": asdict(summary)}) + "\n")
+        fh.write(_dumps({"summary": summary._asdict()}) + "\n")
     return summary
 
 
 # ---------- extremal search ----------
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(_Frozen):
     """Best cover over every basis with k elements and top <= ak_ceiling."""
 
-    h: int
-    k: int
-    ak_ceiling: int
-    n_star: int
-    witnesses: tuple[Basis, ...]
+    _fields = ("h", "k", "ak_ceiling", "n_star", "witnesses")
+
+    def __init__(
+        self, h: int, k: int, ak_ceiling: int, n_star: int, witnesses: tuple[Basis, ...]
+    ) -> None:
+        _set(self, "h", h)
+        _set(self, "k", k)
+        _set(self, "ak_ceiling", ak_ceiling)
+        _set(self, "n_star", n_star)
+        _set(self, "witnesses", witnesses)
 
 
 def search_extremal(
@@ -297,8 +304,9 @@ def search_extremal(
     slots), covering at least n + s.  Bit x of a prefix's ``levels[j]``
     is set when x is a sum of at most j of its elements; a child adding
     a has L'[0] = 1 and L'[j] = L[j] | L'[j-1] << a, and its cover is
-    one below the lowest clear bit of L'[h].  No prefix builds a table:
-    each witness is certified once by ``cover``.
+    one below the lowest clear bit of L'[h].  A child that fills the last
+    slot keeps no levels: its L'[h] is carried through them in one int.
+    No prefix builds a table: each witness is certified once by ``cover``.
 
     Before anything is built for it, the ``max_candidates`` + 1-th
     prefix raises TooLargeError, and a prefix whose h * top + 1 passes
@@ -342,19 +350,25 @@ def search_extremal(
         reach = levels[h]
         n = (~reach & (reach + 1)).bit_length() - 2
         slots = k - len(prefix)
-        if not slots:
-            if n > best:
-                best, found = n, []
-            if n == best:
-                found.append(prefix)
-            return
+        upper = levels[1:]
         # admissible next elements, capped so the remaining slots still fit
         for nxt in range(prefix[-1] + 1, min(n + 1, ak_ceiling - slots + 1) + 1):
             admit(nxt)
-            child = [1]
-            for level in levels[1:]:
-                child.append(level | child[-1] << nxt)
-            visit(prefix + (nxt,), child)
+            if slots > 1:
+                child = [1]
+                for level in upper:
+                    child.append(level | child[-1] << nxt)
+                visit(prefix + (nxt,), child)
+                continue
+            # a leaf: only its L'[h] is read, so carry one level along
+            last = 1
+            for level in upper:
+                last = level | last << nxt
+            leaf = (~last & (last + 1)).bit_length() - 2
+            if leaf > best:
+                best, found = leaf, []
+            if leaf == best:
+                found.append(prefix + (nxt,))
 
     admit(1)
     if k == 1:

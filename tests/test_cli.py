@@ -476,22 +476,24 @@ def test_python_dash_m_invocation():
 
 
 # Runs ``python -m stampcover ARGS`` in this interpreter, then prints to
-# stderr which process-pool modules the command left in sys.modules.
-_POOL_MODULES_WRAPPER = """
+# stderr which process-pool and dataclass modules the command left in
+# sys.modules.
+_UNUSED_MODULES_WRAPPER = """
 import runpy, sys
 sys.argv[0] = "stampcover"
 try:
     runpy.run_module("stampcover", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-pool = ("multiprocessing", "concurrent.futures", "concurrent.futures.process")
-print(f"exit={code} pool_modules={[m for m in pool if m in sys.modules]}", file=sys.stderr)
+unused = ("multiprocessing", "concurrent.futures", "concurrent.futures.process",
+          "dataclasses", "inspect")
+print(f"exit={code} loaded={[m for m in unused if m in sys.modules]}", file=sys.stderr)
 """
 
 
 def test_startup_does_not_import_the_process_pool():
     proc = subprocess.run(
-        [sys.executable, "-c", _POOL_MODULES_WRAPPER, "family", "--kind", "a9",
+        [sys.executable, "-c", _UNUSED_MODULES_WRAPPER, "family", "--kind", "a9",
          "--p", "3", "--format", "table"],
         capture_output=True,
         text=True,
@@ -500,4 +502,4 @@ def test_startup_does_not_import_the_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == A9_TEXT + "\n"
-    assert proc.stderr == "exit=0 pool_modules=[]\n"
+    assert proc.stderr == "exit=0 loaded=[]\n"

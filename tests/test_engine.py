@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from stampcover import (
     symmetrize_even,
     symmetrize_odd,
 )
+from stampcover.cli import main
 from stampcover.errors import OverflowLimitError
 
 
@@ -69,6 +71,20 @@ def test_sweep_matches_table_and_brute_force_exhaustively():
     assert checked == 1941
 
 
+def test_profile_answers_every_budget_and_its_saturation_exhaustively():
+    h_max = 6
+    for basis in _bases_up_to(5, 16):
+        expected = _table_covers(basis, h_max)
+        profile = cover_profile(basis, h_max)
+        assert profile.basis == basis and profile.h_max == h_max
+        assert [profile.cover(h) for h in range(1, h_max + 1)] == expected, basis
+        saturated = [h for h, n in enumerate(expected, start=1) if n == h * basis.top]
+        assert profile.saturated_at == (saturated[0] if saturated else None), basis
+    for h in (0, h_max + 1):
+        with pytest.raises(ValueError):
+            profile.cover(h)
+
+
 def test_window_keeps_long_sweeps_exact():
     # without the window this int would grow to h * top bits every layer
     basis = Basis((1, 3, 16))
@@ -104,6 +120,26 @@ def test_first_saturated_row_is_h1_above_h0(basis):
     first = next(row.h for row in rows if row.saturated)
     assert first == report.h1
     assert all(row.saturated == (row.h >= first) for row in rows)
+
+
+def test_h1_of_a_basis_saturated_below_h0_is_h0():
+    # 1,2,...,9 saturates at h = 1, but 10 needs two stamps
+    basis = Basis(tuple(range(1, 10)))
+    assert cover_profile(basis, 2).saturated_at == 1
+    report = analyze(basis)
+    assert (report.h0, report.h1, report.h1_cap) == (2, 2, 2)
+    assert report.conjecture_holds and not report.counterexample
+    assert analyze(basis, 5).h1 == 2
+
+
+def test_h1_is_none_when_the_cap_ends_before_saturation(capsys):
+    basis = family_a9(3)  # h0 = 3, h1 = 4
+    assert cover_profile(basis, 3).saturated_at is None
+    report = analyze(basis, 3)
+    assert (report.h0, report.h1, report.h1_cap) == (3, None, 3)
+    assert report.counterexample and not report.conjecture_holds
+    assert main(["analyze", "--basis", str(basis), "--cap", "3", "--format", "jsonl"]) == 4
+    assert json.loads(capsys.readouterr().out)["h1"] is None
 
 
 # ---------- refusals ----------

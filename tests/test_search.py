@@ -123,23 +123,24 @@ def test_scan_all_mode_covers_every_basis():
 
 
 def test_scan_validates_each_basis_once_past_its_enumerator(tmp_path, monkeypatch):
-    # a symmetric basis is built from its half, then mirrored; nothing
+    # a symmetric basis is mirrored from a tuple half, and nothing
     # downstream of the enumerator builds it again
     builds = []
-    real_post_init = Basis.__post_init__
+    real_validate = Basis._validate
 
     def counted(self):
         builds.append(self.elements)
-        real_post_init(self)
+        real_validate(self)
 
-    monkeypatch.setattr(Basis, "__post_init__", counted)
-    for spec, per_basis in [
-        (ScanSpec(k=5, ak_max=20), 2),
-        (ScanSpec(k=3, ak_max=12, mode="all"), 1),
+    monkeypatch.setattr(Basis, "_validate", counted)
+    for spec in [
+        ScanSpec(k=5, ak_max=20),
+        ScanSpec(k=4, ak_max=20),
+        ScanSpec(k=3, ak_max=12, mode="all"),
     ]:
         builds.clear()
         summary = run_scan(spec, str(tmp_path / "scan.jsonl"))
-        assert len(builds) == per_basis * summary.scanned
+        assert len(builds) == summary.scanned
 
 
 # ---------- persistence ----------
