@@ -12,8 +12,10 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable
+from functools import partial
 
-from .analysis import BasisReport, analyze
+from .analysis import DEFAULT_H1_CAP, analyze
 from .core import Basis, cover, cover_profile, parse_basis
 from .errors import (
     BadParameterError,
@@ -41,6 +43,7 @@ EXIT_TOO_LARGE = 6
 EXIT_INTERRUPTED = 130  # the shell's code for a run stopped by SIGINT
 
 _FAMILIES = {"a5": family_a5, "a9": family_a9, "a10": family_a10}
+_BASIS_FILE_NOTE = "; --basis-file always writes JSONL and ignores it"
 
 
 # ---------- rendering ----------
@@ -52,42 +55,55 @@ def _pick_format(requested: str | None) -> str:
     return "table" if sys.stdout.isatty() else "json"
 
 
-def _color_enabled() -> bool:
-    if os.environ.get("NO_COLOR"):
-        return False
-    return sys.stdout.isatty()
-
-
 def _style(text: str, code: str) -> str:
-    if not _color_enabled():
+    if os.environ.get("NO_COLOR") or not sys.stdout.isatty():
         return text
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
-def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2)
+def _emit(payload: dict, fmt: str, table: Callable[[dict], Iterable[str]]) -> None:
+    """Print one answer: the lines ``table(payload)`` gives, or the JSON.
 
-
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(_render_json(payload))
+    Every command answer reaches stdout here and nowhere else.
+    """
+    if fmt == "table":
+        for line in table(payload):  # one at a time: a profile can be long
+            print(line)
+    elif fmt == "json":
+        print(json.dumps(payload, indent=2))
     else:
         print(_dumps(payload))
 
 
-def _print_report_table(report: BasisReport) -> None:
-    payload = report.to_json_dict()
+def _profile_lines(payload: dict) -> Iterable[str]:
+    yield f"basis = {payload['basis']}"
+    for row in payload["rows"]:
+        mark = "  saturated" if row["saturated"] else ""
+        yield f"h={row['h']} cover={row['cover']}{mark}"
+
+
+def _report_lines(payload: dict, cap: int) -> list[str]:
     width = max(len(key) for key in payload)
+    lines = []
     for key, value in payload.items():
         if key == "h1" and value is None:
-            text = f"not found within cap {report.h1_cap}"
+            text = f"not found within cap {cap}"
         elif isinstance(value, bool):
             text = "true" if value else "false"
         else:
             text = str(value)
         if key == "counterexample" and value:
             text = _style(text, "1;31")
-        print(f"{key:<{width}} = {text}")
+        lines.append(f"{key:<{width}} = {text}")
+    return lines
+
+
+def _extremal_lines(payload: dict) -> list[str]:
+    head = (
+        f"n_star = {payload['n_star']}  "
+        f"(h={payload['h']}, k={payload['k']}, top <= {payload['ak_ceiling']})"
+    )
+    return [head] + [f"  {basis}" for basis in payload["witnesses"]]
 
 
 # ---------- input ----------
@@ -109,71 +125,47 @@ def _read_basis_file(path: str) -> list[Basis]:
     return bases
 
 
-def _input_bases(args: argparse.Namespace) -> tuple[list[Basis], bool]:
-    """All bases named by --basis/--basis-file, validated up front."""
+def _inputs(args: argparse.Namespace) -> tuple[list[Basis], str]:
+    """The bases of --basis/--basis-file, validated up front, and the format.
+
+    A basis file always gives JSONL, whatever --format says.
+    """
     if args.basis_file:
-        return _read_basis_file(args.basis_file), True
-    return [parse_basis(args.basis)], False
+        return _read_basis_file(args.basis_file), "jsonl"
+    return [parse_basis(args.basis)], _pick_format(args.format)
 
 
 # ---------- commands ----------
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    bases, from_file = _input_bases(args)
-    fmt = "jsonl" if from_file else _pick_format(args.format)
+    bases, fmt = _inputs(args)
     for basis in bases:
         if args.profile:
-            rows = cover_profile(basis, args.h).rows
-            payload = {
-                "basis": str(basis),
-                "h_max": args.h,
-                "rows": [
-                    {"h": row.h, "cover": row.cover, "saturated": row.saturated}
-                    for row in rows
-                ],
-            }
-            if fmt == "table":
-                print(f"basis = {basis}")
-                for row in rows:
-                    mark = "  saturated" if row.saturated else ""
-                    print(f"h={row.h} cover={row.cover}{mark}")
-            else:
-                _emit(payload, fmt)
+            rows = [row._asdict() for row in cover_profile(basis, args.h).rows]
+            payload = {"basis": str(basis), "h_max": args.h, "rows": rows}
+            _emit(payload, fmt, _profile_lines)
         else:
             n = cover(basis, args.h)
-            if fmt == "table":
-                print(n)
-            else:
-                _emit({"basis": str(basis), "h": args.h, "cover": n}, fmt)
+            payload = {"basis": str(basis), "h": args.h, "cover": n}
+            _emit(payload, fmt, lambda payload: [str(payload["cover"])])
     return EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    bases, from_file = _input_bases(args)
-    fmt = "jsonl" if from_file else _pick_format(args.format)
+    bases, fmt = _inputs(args)
     missing = 0
     for basis in bases:
         report = analyze(basis, cap=args.cap)
-        if report.h1 is None:
-            missing += 1
-        if fmt == "table":
-            _print_report_table(report)
-        else:
-            _emit(report.to_json_dict(), fmt)
+        missing += report.h1 is None
+        _emit(report.to_json_dict(), fmt, partial(_report_lines, cap=report.h1_cap))
     return EXIT_NO_H1 if missing else EXIT_OK
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
     basis = _FAMILIES[args.kind](args.p)
-    fmt = _pick_format(args.format)
-    if fmt == "table":
-        print(basis)
-    else:
-        _emit(
-            {"kind": args.kind, "p": args.p, "basis": str(basis), "k": basis.k},
-            fmt,
-        )
+    payload = {"kind": args.kind, "p": args.p, "basis": str(basis), "k": basis.k}
+    _emit(payload, _pick_format(args.format), lambda payload: [payload["basis"]])
     return EXIT_OK
 
 
@@ -193,25 +185,14 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
     result = search_extremal(
         args.h, args.k, args.ak_ceiling, max_candidates=args.max_candidates
     )
-    fmt = _pick_format(args.format)
-    if fmt == "table":
-        print(
-            f"n_star = {result.n_star}  "
-            f"(h={result.h}, k={result.k}, top <= {result.ak_ceiling})"
-        )
-        for basis in result.witnesses:
-            print(f"  {basis}")
-    else:
-        _emit(
-            {
-                "h": result.h,
-                "k": result.k,
-                "ak_ceiling": result.ak_ceiling,
-                "n_star": result.n_star,
-                "witnesses": [str(basis) for basis in result.witnesses],
-            },
-            fmt,
-        )
+    payload = {
+        "h": result.h,
+        "k": result.k,
+        "ak_ceiling": result.ak_ceiling,
+        "n_star": result.n_star,
+        "witnesses": [str(basis) for basis in result.witnesses],
+    }
+    _emit(payload, _pick_format(args.format), _extremal_lines)
     return EXIT_OK
 
 
@@ -238,12 +219,12 @@ def _add_basis_arguments(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_format_argument(sub: argparse.ArgumentParser) -> None:
+def _add_format_argument(sub: argparse.ArgumentParser, note: str = "") -> None:
     sub.add_argument(
         "--format",
         choices=("table", "json", "jsonl"),
         default=None,
-        help="output format (default: table on a terminal, json otherwise)",
+        help=f"output format (default: table on a terminal, json otherwise{note})",
     )
 
 
@@ -265,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report covers for every budget 1..h, not just h",
     )
-    _add_format_argument(p_cover)
+    _add_format_argument(p_cover, _BASIS_FILE_NOTE)
     p_cover.set_defaults(func=_cmd_cover)
 
     p_analyze = sub.add_parser(
@@ -277,9 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="largest budget tried for h1 (default: the proven window for "
-        "symmetric bases, 64 otherwise)",
+        f"symmetric bases, {DEFAULT_H1_CAP} otherwise)",
     )
-    _add_format_argument(p_analyze)
+    _add_format_argument(p_analyze, _BASIS_FILE_NOTE)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_family = sub.add_parser("family", help="construct a parametric family member")
@@ -318,7 +299,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="continue an interrupted scan instead of restarting it",
     )
     p_scan.add_argument(
-        "--threads", type=_positive_int, default=1, help="worker processes"
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="worker processes, at most one per CPU (default: 1, no pool)",
     )
     p_scan.set_defaults(func=_cmd_scan)
 

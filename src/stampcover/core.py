@@ -34,6 +34,22 @@ DEFAULT_TABLE_LIMIT = 1 << 24
 DEFAULT_ENUMERATION_CEILING = 10**8
 
 
+# ---------- limits ----------
+
+
+def _check_size(
+    size: int, what: str = "table", unit: str = "entries", per_entry: int = 1
+) -> None:
+    """Refuse ``size`` units past ``per_entry`` per entry of DEFAULT_TABLE_LIMIT.
+
+    Every table, sweep and level refusal words its OverflowLimitError here,
+    before anything of that size is allocated.
+    """
+    limit = per_entry * DEFAULT_TABLE_LIMIT
+    if size > limit:
+        raise OverflowLimitError(f"{what} would need {size} {unit}, limit is {limit}")
+
+
 # ---------- values ----------
 
 _set = object.__setattr__  # skips _Frozen.__setattr__; no __dict__ is materialized
@@ -219,11 +235,7 @@ def min_stamp_table(basis: Basis, bound: int) -> MinStampTable:
     """
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
-    limit = DEFAULT_TABLE_LIMIT
-    if bound + 1 > limit:
-        raise OverflowLimitError(
-            f"table would need {bound + 1} entries, limit is {limit}"
-        )
+    _check_size(bound + 1)
     steps = basis.elements[1:]
     stamps = [0] * (bound + 1)
     for x in range(1, bound + 1):
@@ -302,6 +314,14 @@ def _cover_bound(top: int, h: int) -> int:
     return bound
 
 
+def _reach_cover(reach: int) -> int:
+    """The cover read off a reach bitset: one below its lowest clear bit.
+
+    Bit x of ``reach`` is set when x is reachable; bit 0 always is.
+    """
+    return (~reach & (reach + 1)).bit_length() - 2
+
+
 def cover(basis: Basis, h: int) -> int:
     """Largest n with every value 1..n a sum of at most h denominations.
 
@@ -342,12 +362,7 @@ def cover_profile(basis: Basis, h_max: int) -> CoverProfile:
     """
     if h_max < 1:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
-    entries = _cover_bound(basis.top, h_max) + 1
-    limit = DEFAULT_TABLE_LIMIT
-    if entries > limit:
-        raise OverflowLimitError(
-            f"cover sweep would need {entries} entries, limit is {limit}"
-        )
+    _check_size(_cover_bound(basis.top, h_max) + 1, "cover sweep")
     top = basis.top
     reach = 1  # only 0, with no stamps
     base = 0
@@ -357,7 +372,7 @@ def cover_profile(basis: Basis, h_max: int) -> CoverProfile:
         for step in basis.elements:
             grown |= reach << step
         reach = grown
-        n = base + (~reach & (reach + 1)).bit_length() - 2
+        n = base + _reach_cover(reach)
         if n == h * top:
             break
         covers.append(n)

@@ -18,10 +18,9 @@ import json
 import os
 from collections.abc import Iterator
 
-from . import core
 from .analysis import BasisReport, _mirror, analyze
-from .core import Basis, _cover_bound, _Frozen, _set, cover
-from .errors import OverflowLimitError, StampError, TooLargeError, WorkerDiedError
+from .core import Basis, _check_size, _cover_bound, _Frozen, _reach_cover, _set, cover
+from .errors import StampError, TooLargeError, WorkerDiedError
 
 # Refuse extremal searches that would visit more prefixes than this.
 DEFAULT_EXTREMAL_CEILING = 100_000
@@ -32,12 +31,17 @@ _SCAN_CHUNK = 16  # bases per process-pool work item
 # ---------- enumeration ----------
 
 
-def enumerate_all_bases(k: int, ak_max: int) -> Iterator[Basis]:
-    """Every basis with k elements and top at most ak_max, lexicographic."""
+def _check_box(k: int, top: int, name: str = "ak_max") -> None:
+    """Refuse a box of k-element bases with top at most ``top`` that holds none."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if ak_max < k:
-        raise ValueError(f"ak_max {ak_max} cannot fit {k} increasing elements")
+    if top < k:
+        raise ValueError(f"{name} {top} cannot fit {k} increasing elements")
+
+
+def enumerate_all_bases(k: int, ak_max: int) -> Iterator[Basis]:
+    """Every basis with k elements and top at most ak_max, lexicographic."""
+    _check_box(k, ak_max)
     if k == 1:
         yield Basis((1,))
         return
@@ -53,10 +57,7 @@ def enumerate_symmetric(k: int, ak_max: int) -> Iterator[Basis]:
     order of the full bases) and mirrors each one; only the full basis
     is built and validated.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if ak_max < k:
-        raise ValueError(f"ak_max {ak_max} cannot fit {k} increasing elements")
+    _check_box(k, ak_max)
     if k == 1:
         yield Basis((1,))
         return
@@ -84,10 +85,7 @@ class ScanSpec(_Frozen):
     def __init__(
         self, k: int, ak_max: int, h_cap: int | None = None, mode: str = "symmetric"
     ) -> None:
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        if ak_max < k:
-            raise ValueError(f"ak_max {ak_max} cannot fit {k} increasing elements")
+        _check_box(k, ak_max)
         if mode not in ("symmetric", "all"):
             raise ValueError(f"mode must be 'symmetric' or 'all', got {mode!r}")
         if h_cap is not None and h_cap < 1:
@@ -149,7 +147,7 @@ def _reports(
         return
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     try:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             yield from pool.map(_evaluate, jobs, chunksize=_SCAN_CHUNK)
     except BrokenProcessPool as exc:
         raise WorkerDiedError("a scan worker died") from exc
@@ -173,6 +171,11 @@ def scan_conjecture(
 
 def _dumps(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _is_counterexample(record: dict) -> bool:
+    """The rule both a scan and its resume count a written record by."""
+    return record.get("counterexample") is True
 
 
 def _replay(
@@ -205,7 +208,7 @@ def _replay(
                 if expected is None or obj["basis"] != str(expected):
                     raise foreign
                 scanned += 1
-                counterexamples += obj.get("counterexample") is True
+                counterexamples += _is_counterexample(obj)
                 offset += len(line)
                 continue
             if expected is not None:
@@ -253,11 +256,11 @@ def run_scan(
         mode = "a"
     with open(out_path, mode, encoding="utf-8", newline="\n") as fh:
         for item in _reports(bases, spec.h_cap, threads):
-            fh.write(_dumps(item.to_json_dict()) + "\n")
+            record = item.to_json_dict()
+            fh.write(_dumps(record) + "\n")
             fh.flush()
             scanned += 1
-            if isinstance(item, BasisReport) and item.counterexample:
-                counterexamples += 1
+            counterexamples += _is_counterexample(record)
         summary = ScanSummary(scanned, counterexamples)
         fh.write(_dumps({"summary": summary._asdict()}) + "\n")
     return summary
@@ -316,39 +319,31 @@ def search_extremal(
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    # a derived ceiling always fits: k - 1 elements cover at least k - 1
+    _check_box(k, k if ak_ceiling is None else ak_ceiling, "ak_ceiling")
     if ak_ceiling is None:
         if k == 1:
             ak_ceiling = 1
         else:
             previous = search_extremal(h, k - 1, max_candidates=max_candidates)
             ak_ceiling = previous.n_star + 1
-    if ak_ceiling < k:
-        raise ValueError(
-            f"ak_ceiling {ak_ceiling} cannot fit {k} increasing elements"
-        )
-    limit = core.DEFAULT_TABLE_LIMIT
     visits = itertools.count(1)
-    best, found = -1, []
+    best, found, checked = -1, [], 0
 
     def admit(top: int) -> None:
+        nonlocal checked
         if next(visits) > max_candidates:
             raise TooLargeError(f"h={h}, k={k}: more than {max_candidates} prefixes")
-        entries = _cover_bound(top, h) + 1
-        if entries > limit:
-            raise OverflowLimitError(
-                f"table would need {entries} entries, limit is {limit}"
-            )
-        if k > 1 and (h + 1) * entries > 64 * limit:
-            raise OverflowLimitError(
-                f"levels would need {(h + 1) * entries} bits, limit is {64 * limit}"
-            )
+        if top > checked:  # sizes grow with top: one at or below a passed top passes
+            entries = _cover_bound(top, h) + 1
+            _check_size(entries)
+            if k > 1:
+                _check_size((h + 1) * entries, "levels", "bits", per_entry=64)
+            checked = top
 
     def visit(prefix: tuple[int, ...], levels: list[int]) -> None:
         nonlocal best, found
-        reach = levels[h]
-        n = (~reach & (reach + 1)).bit_length() - 2
+        n = _reach_cover(levels[h])
         slots = k - len(prefix)
         upper = levels[1:]
         # admissible next elements, capped so the remaining slots still fit
@@ -364,7 +359,7 @@ def search_extremal(
             last = 1
             for level in upper:
                 last = level | last << nxt
-            leaf = (~last & (last + 1)).bit_length() - 2
+            leaf = _reach_cover(last)
             if leaf > best:
                 best, found = leaf, []
             if leaf == best:

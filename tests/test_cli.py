@@ -393,6 +393,283 @@ def test_missing_basis_file_is_invalid_input(capsys):
     assert main(["cover", "--basis-file", "/nonexistent/x.txt", "--h", "2"]) == 2
 
 
+# ---------- golden bytes ----------
+
+# Every output format of every answering command, stdout and exit code
+# byte for byte. A basis file always gives JSONL, whatever --format says.
+GOLDEN_BASES = "1,3,5\n# a comment\n\n1,4,5\n1,3,5,8,20,23,25,27,28\n"
+
+GOLDEN = [
+    (
+        "cover --basis 1,3,6,10 --h 3 --format table",
+        0,
+        '23\n',
+    ),
+    (
+        "cover --basis 1,4,5 --h 5 --profile --format table",
+        0,
+        (
+            'basis = 1,4,5\n'
+            'h=1 cover=1\n'
+            'h=2 cover=2\n'
+            'h=3 cover=15  saturated\n'
+            'h=4 cover=20  saturated\n'
+            'h=5 cover=25  saturated\n'
+        ),
+    ),
+    (
+        "analyze --basis 1,3,5,8,20,23,25,27,28 --format table",
+        0,
+        (
+            'basis            = 1,3,5,8,20,23,25,27,28\n'
+            'k                = 9\n'
+            'symmetric        = true\n'
+            'h0               = 3\n'
+            'h1               = 4\n'
+            'h1_found         = true\n'
+            'theorem_bound    = 4\n'
+            'conjecture_holds = false\n'
+            'counterexample   = true\n'
+        ),
+    ),
+    (
+        "analyze --basis 1,3,6,10 --cap 5 --format table",
+        4,
+        (
+            'basis            = 1,3,6,10\n'
+            'k                = 4\n'
+            'symmetric        = false\n'
+            'h0               = 3\n'
+            'h1               = not found within cap 5\n'
+            'h1_found         = false\n'
+            'theorem_bound    = 4\n'
+            'conjecture_holds = false\n'
+            'counterexample   = false\n'
+        ),
+    ),
+    (
+        "family --kind a9 --p 3 --format table",
+        0,
+        '1,3,5,8,20,23,25,27,28\n',
+    ),
+    (
+        "extremal --h 3 --k 3 --format table",
+        0,
+        (
+            'n_star = 15  (h=3, k=3, top <= 8)\n'
+            '  1,4,5\n'
+        ),
+    ),
+    (
+        "cover --basis 1,3,6,10 --h 3 --format json",
+        0,
+        (
+            '{\n'
+            '  "basis": "1,3,6,10",\n'
+            '  "h": 3,\n'
+            '  "cover": 23\n'
+            '}\n'
+        ),
+    ),
+    (
+        "cover --basis 1,4,5 --h 5 --profile --format json",
+        0,
+        (
+            '{\n'
+            '  "basis": "1,4,5",\n'
+            '  "h_max": 5,\n'
+            '  "rows": [\n'
+            '    {\n'
+            '      "h": 1,\n'
+            '      "cover": 1,\n'
+            '      "saturated": false\n'
+            '    },\n'
+            '    {\n'
+            '      "h": 2,\n'
+            '      "cover": 2,\n'
+            '      "saturated": false\n'
+            '    },\n'
+            '    {\n'
+            '      "h": 3,\n'
+            '      "cover": 15,\n'
+            '      "saturated": true\n'
+            '    },\n'
+            '    {\n'
+            '      "h": 4,\n'
+            '      "cover": 20,\n'
+            '      "saturated": true\n'
+            '    },\n'
+            '    {\n'
+            '      "h": 5,\n'
+            '      "cover": 25,\n'
+            '      "saturated": true\n'
+            '    }\n'
+            '  ]\n'
+            '}\n'
+        ),
+    ),
+    (
+        "analyze --basis 1,3,5,8,20,23,25,27,28 --format json",
+        0,
+        (
+            '{\n'
+            '  "basis": "1,3,5,8,20,23,25,27,28",\n'
+            '  "k": 9,\n'
+            '  "symmetric": true,\n'
+            '  "h0": 3,\n'
+            '  "h1": 4,\n'
+            '  "h1_found": true,\n'
+            '  "theorem_bound": 4,\n'
+            '  "conjecture_holds": false,\n'
+            '  "counterexample": true\n'
+            '}\n'
+        ),
+    ),
+    (
+        "analyze --basis 1,3,6,10 --cap 5 --format json",
+        4,
+        (
+            '{\n'
+            '  "basis": "1,3,6,10",\n'
+            '  "k": 4,\n'
+            '  "symmetric": false,\n'
+            '  "h0": 3,\n'
+            '  "h1": null,\n'
+            '  "h1_found": false,\n'
+            '  "theorem_bound": 4,\n'
+            '  "conjecture_holds": false,\n'
+            '  "counterexample": false\n'
+            '}\n'
+        ),
+    ),
+    (
+        "family --kind a9 --p 3 --format json",
+        0,
+        (
+            '{\n'
+            '  "kind": "a9",\n'
+            '  "p": 3,\n'
+            '  "basis": "1,3,5,8,20,23,25,27,28",\n'
+            '  "k": 9\n'
+            '}\n'
+        ),
+    ),
+    (
+        "extremal --h 3 --k 3 --format json",
+        0,
+        (
+            '{\n'
+            '  "h": 3,\n'
+            '  "k": 3,\n'
+            '  "ak_ceiling": 8,\n'
+            '  "n_star": 15,\n'
+            '  "witnesses": [\n'
+            '    "1,4,5"\n'
+            '  ]\n'
+            '}\n'
+        ),
+    ),
+    (
+        "cover --basis 1,3,6,10 --h 3 --format jsonl",
+        0,
+        '{"basis":"1,3,6,10","h":3,"cover":23}\n',
+    ),
+    (
+        "cover --basis 1,4,5 --h 5 --profile --format jsonl",
+        0,
+        (
+            '{"basis":"1,4,5","h_max":5,"rows":[{"h":1,"cover":1,"saturated":false},{"h":2,"cover":2,"saturated":false},{"h":3,"cover":15,"saturated":true},{"h":4,"cover":20,"saturated":true},{"h":5,"cover":25,"saturated":true}]}\n'
+        ),
+    ),
+    (
+        "analyze --basis 1,3,5,8,20,23,25,27,28 --format jsonl",
+        0,
+        (
+            '{"basis":"1,3,5,8,20,23,25,27,28","k":9,"symmetric":true,"h0":3,"h1":4,"h1_found":true,"theorem_bound":4,"conjecture_holds":false,"counterexample":true}\n'
+        ),
+    ),
+    (
+        "analyze --basis 1,3,6,10 --cap 5 --format jsonl",
+        4,
+        (
+            '{"basis":"1,3,6,10","k":4,"symmetric":false,"h0":3,"h1":null,"h1_found":false,"theorem_bound":4,"conjecture_holds":false,"counterexample":false}\n'
+        ),
+    ),
+    (
+        "family --kind a9 --p 3 --format jsonl",
+        0,
+        '{"kind":"a9","p":3,"basis":"1,3,5,8,20,23,25,27,28","k":9}\n',
+    ),
+    (
+        "extremal --h 3 --k 3 --format jsonl",
+        0,
+        '{"h":3,"k":3,"ak_ceiling":8,"n_star":15,"witnesses":["1,4,5"]}\n',
+    ),
+    (
+        "cover --basis-file BASES --h 3 --format table",
+        0,
+        (
+            '{"basis":"1,3,5","h":3,"cover":11}\n'
+            '{"basis":"1,4,5","h":3,"cover":15}\n'
+            '{"basis":"1,3,5,8,20,23,25,27,28","h":3,"cover":41}\n'
+        ),
+    ),
+    (
+        "cover --basis-file BASES --h 4 --profile --format json",
+        0,
+        (
+            '{"basis":"1,3,5","h_max":4,"rows":[{"h":1,"cover":1,"saturated":false},{"h":2,"cover":6,"saturated":false},{"h":3,"cover":11,"saturated":false},{"h":4,"cover":16,"saturated":false}]}\n'
+            '{"basis":"1,4,5","h_max":4,"rows":[{"h":1,"cover":1,"saturated":false},{"h":2,"cover":2,"saturated":false},{"h":3,"cover":15,"saturated":true},{"h":4,"cover":20,"saturated":true}]}\n'
+            '{"basis":"1,3,5,8,20,23,25,27,28","h_max":4,"rows":[{"h":1,"cover":1,"saturated":false},{"h":2,"cover":6,"saturated":false},{"h":3,"cover":41,"saturated":false},{"h":4,"cover":112,"saturated":true}]}\n'
+        ),
+    ),
+    (
+        "analyze --basis-file BASES --format table",
+        4,
+        (
+            '{"basis":"1,3,5","k":3,"symmetric":false,"h0":2,"h1":null,"h1_found":false,"theorem_bound":2,"conjecture_holds":false,"counterexample":false}\n'
+            '{"basis":"1,4,5","k":3,"symmetric":true,"h0":3,"h1":3,"h1_found":true,"theorem_bound":4,"conjecture_holds":true,"counterexample":false}\n'
+            '{"basis":"1,3,5,8,20,23,25,27,28","k":9,"symmetric":true,"h0":3,"h1":4,"h1_found":true,"theorem_bound":4,"conjecture_holds":false,"counterexample":true}\n'
+        ),
+    ),
+    (
+        "analyze --basis-file BASES --cap 3",
+        4,
+        (
+            '{"basis":"1,3,5","k":3,"symmetric":false,"h0":2,"h1":null,"h1_found":false,"theorem_bound":2,"conjecture_holds":false,"counterexample":false}\n'
+            '{"basis":"1,4,5","k":3,"symmetric":true,"h0":3,"h1":3,"h1_found":true,"theorem_bound":4,"conjecture_holds":true,"counterexample":false}\n'
+            '{"basis":"1,3,5,8,20,23,25,27,28","k":9,"symmetric":true,"h0":3,"h1":null,"h1_found":false,"theorem_bound":4,"conjecture_holds":false,"counterexample":true}\n'
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(("args", "code", "out"), GOLDEN, ids=[c[0] for c in GOLDEN])
+def test_golden_output(args, code, out, tmp_path, capsys):
+    batch = tmp_path / "bases.txt"
+    batch.write_text(GOLDEN_BASES, encoding="utf-8")
+    argv = [str(batch) if arg == "BASES" else arg for arg in args.split()]
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, "")
+
+
+def test_answers_reach_stdout_only_through_emit(tmp_path, monkeypatch, capsys):
+    batch = tmp_path / "bases.txt"
+    batch.write_text(GOLDEN_BASES, encoding="utf-8")
+    emitted = []
+
+    def record(payload, fmt, table):
+        emitted.append(list(table(payload)))
+
+    monkeypatch.setattr(cli, "_emit", record)
+    for args, _, _ in GOLDEN:
+        main([str(batch) if arg == "BASES" else arg for arg in args.split()])
+    assert capsys.readouterr().out == ""
+    assert len(emitted) == len(GOLDEN) + 8  # each basis file holds three bases
+    assert all(lines and all(isinstance(line, str) for line in lines)
+               for lines in emitted)
+
+
 # ---------- exit codes and argument errors ----------
 
 

@@ -116,6 +116,57 @@ def test_scan_threads_do_not_change_results():
     assert list(scan_conjecture(spec)) == list(scan_conjecture(spec, threads=4))
 
 
+def test_scan_pool_is_bounded_by_the_cores_present(monkeypatch):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker is ever started
+    import concurrent.futures.process as process
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(process, "ProcessPoolExecutor", RecordingPool)
+    spec = ScanSpec(k=4, ak_max=20)
+    serial = list(scan_conjecture(spec))
+    for cores, threads, size in [(3, 10**6, 3), (None, 10**6, 1), (1, 2, 1), (8, 2, 2)]:
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cores)
+        assert list(scan_conjecture(spec, threads=threads)) == serial
+        assert sizes.pop() == size
+    assert sizes == []
+
+
+def test_box_refusals_are_worded_alike():
+    for refuse in [
+        lambda: ScanSpec(k=5, ak_max=4),
+        lambda: list(enumerate_symmetric(5, 4)),
+        lambda: list(enumerate_all_bases(5, 4)),
+    ]:
+        with pytest.raises(ValueError, match="^ak_max 4 cannot fit 5 increasing"):
+            refuse()
+    with pytest.raises(ValueError, match="^ak_ceiling 4 cannot fit 5 increasing"):
+        search_extremal(3, 5, 4)
+    for refuse in [
+        lambda: ScanSpec(k=0, ak_max=4),
+        lambda: list(enumerate_symmetric(0, 4)),
+        lambda: list(enumerate_all_bases(0, 4)),
+        lambda: search_extremal(3, 0),  # before a ceiling is derived for it
+        lambda: search_extremal(3, 0, 4),
+    ]:
+        with pytest.raises(ValueError, match="^k must be at least 1, got 0$"):
+            refuse()
+
+
 def test_scan_all_mode_covers_every_basis():
     spec = ScanSpec(k=3, ak_max=8, mode="all", h_cap=8)
     results = list(scan_conjecture(spec))
