@@ -8,7 +8,8 @@ be interrupted and resumed without changing the final bytes.  A scan
 enumerates its box once: a resume replays the file against the head of
 that enumeration, line by line, and continues from where it stops.
 The extremal search maximises the cover over every basis of a given
-size, deriving a sound top-element ceiling when none is supplied.
+size in one depth-first search, reading a sound top-element ceiling
+off it when none is supplied.
 """
 
 from __future__ import annotations
@@ -294,22 +295,32 @@ def search_extremal(
     """Maximum of cover(h) over k-element bases, with every witness.
 
     The witnesses are all bases with top <= ``ak_ceiling`` that reach
-    the maximum, in lexicographic order.  When ``ak_ceiling`` is omitted
-    it is derived as one more than the extremal cover for k - 1
-    elements: any basis whose top exceeds that has a value below its
-    top that even the remaining k - 1 elements cannot cover, so it can
-    never beat the k - 1 optimum and is safe to skip.
+    the maximum, in lexicographic order.  The box is searched depth
+    first over prefixes (1, a_2, ..., a_j) in lexicographic order,
+    extending a prefix of cover n only by a_{j+1} in (a_j, n + 1]: a
+    larger next element leaves cover exactly n, and the box then holds
+    the prefix followed by n + 1, ..., n + s (s free slots), covering at
+    least n + s.  A given ``ak_ceiling`` also caps a_{j+1} so that the
+    remaining slots still fit below it.
 
-    The box is searched depth first over prefixes (1, a_2, ..., a_j) in
-    lexicographic order, extending a prefix of cover n only by a_{j+1}
-    in (a_j, n + 1]: a larger next element leaves cover exactly n, and
-    the box then holds the prefix followed by n + 1, ..., n + s (s free
-    slots), covering at least n + s.  Bit x of a prefix's ``levels[j]``
-    is set when x is a sum of at most j of its elements; a child adding
-    a has L'[0] = 1 and L'[j] = L[j] | L'[j-1] << a, and its cover is
-    one below the lowest clear bit of L'[h].  A child that fills the last
-    slot keeps no levels: its L'[h] is carried through them in one int.
-    No prefix builds a table: each witness is certified once by ``cover``.
+    When ``ak_ceiling`` is omitted it is read off the same search as one
+    more than the best cover of a (k - 1)-prefix (1 for k = 1): a basis
+    whose top passes the k - 1 optimum leaves a value below its top that
+    the other k - 1 elements cannot cover, so it never beats that
+    optimum.  The best (k - 1)-prefix visited is that optimum, since a
+    (k - 1)-basis that is not admissible covers only what its admissible
+    head does, less than the head followed by n + 1, ....  And that
+    ceiling never cuts the search: a j-prefix of cover n followed by
+    n + 1, n + 2, ... shows the k - 1 optimum is at least
+    n + (k - 1 - j), so n + 1 stays within it for the remaining slots.
+
+    Bit x of a prefix's ``levels[j]`` is set when x is a sum of at most
+    j of its elements; a child adding a has L'[0] = 1 and
+    L'[j] = L[j] | L'[j-1] << a, and its cover is one below the lowest
+    clear bit of L'[h].  A child that fills the last slot keeps no
+    levels: its L'[h] is carried through them in one int.  No prefix
+    builds a table: each witness, and the (k - 1)-prefix a derived
+    ceiling comes from, is certified once by ``cover``.
 
     Before anything is built for it, the ``max_candidates`` + 1-th
     prefix raises TooLargeError, and a prefix whose h * top + 1 passes
@@ -321,14 +332,9 @@ def search_extremal(
         raise ValueError(f"h must be at least 1, got {h}")
     # a derived ceiling always fits: k - 1 elements cover at least k - 1
     _check_box(k, k if ak_ceiling is None else ak_ceiling, "ak_ceiling")
-    if ak_ceiling is None:
-        if k == 1:
-            ak_ceiling = 1
-        else:
-            previous = search_extremal(h, k - 1, max_candidates=max_candidates)
-            ak_ceiling = previous.n_star + 1
     visits = itertools.count(1)
     best, found, checked = -1, [], 0
+    head, head_cover = (), 0  # first best (k - 1)-prefix; the empty one covers 0
 
     def admit(top: int) -> None:
         nonlocal checked
@@ -342,12 +348,15 @@ def search_extremal(
             checked = top
 
     def visit(prefix: tuple[int, ...], levels: list[int]) -> None:
-        nonlocal best, found
+        nonlocal best, found, head, head_cover
         n = _reach_cover(levels[h])
         slots = k - len(prefix)
+        if slots == 1 and n > head_cover:
+            head, head_cover = prefix, n
         upper = levels[1:]
-        # admissible next elements, capped so the remaining slots still fit
-        for nxt in range(prefix[-1] + 1, min(n + 1, ak_ceiling - slots + 1) + 1):
+        # admissible next elements; a given ceiling leaves room for the other slots
+        cap = n + 1 if ak_ceiling is None else min(n + 1, ak_ceiling - slots + 1)
+        for nxt in range(prefix[-1] + 1, cap + 1):
             admit(nxt)
             if slots > 1:
                 child = [1]
@@ -371,7 +380,12 @@ def search_extremal(
     else:
         visit((1,), [(2 << j) - 1 for j in range(h + 1)])
     witnesses = tuple(map(Basis, found))
-    for witness in witnesses:
-        if cover(witness, h) != best:
-            raise AssertionError(f"witness {witness} does not cover {best}")
+    checks = [("witness", witness, best) for witness in witnesses]
+    if ak_ceiling is None:
+        ak_ceiling = head_cover + 1
+        if head:
+            checks.append(("prefix", Basis(head), head_cover))
+    for what, basis, value in checks:
+        if cover(basis, h) != value:
+            raise AssertionError(f"{what} {basis} does not cover {value}")
     return ExtremalResult(h, k, ak_ceiling, best, witnesses)

@@ -341,7 +341,10 @@ def test_extremal_json(capsys):
 
 def test_extremal_exit_6_when_too_large(capsys):
     assert main(["extremal", "--h", "9", "--k", "9"]) == 6
-    assert "error:" in capsys.readouterr().err
+    # the refusal names the box asked for, not a level below it
+    assert capsys.readouterr().err == (
+        "error: TooLargeError: h=9, k=9: more than 100000 prefixes\n"
+    )
 
 
 # ---------- batch input ----------

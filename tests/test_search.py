@@ -566,28 +566,51 @@ def test_extremal_matches_table_dfs_prefix_for_prefix():
             if h * k > 16:
                 continue
             derived = search_extremal(h, k - 1).n_star + 1
-            for ceiling in range(k, derived + 4):
+            # None: the ceiling read off the search itself visits the same prefixes
+            for ceiling in [*range(k, derived + 4), None]:
                 visited = []
-                best, found = _table_dfs(h, k, ceiling, visited)
+                best, found = _table_dfs(h, k, ceiling or derived, visited)
                 result = search_extremal(h, k, ceiling, max_candidates=len(visited))
                 assert (result.n_star, list(result.witnesses)) == (best, found)
+                assert result.ak_ceiling == (ceiling or derived)
                 with pytest.raises(TooLargeError):
                     search_extremal(h, k, ceiling, max_candidates=len(visited) - 1)
                 boxes += 1
     assert boxes > 150
 
 
+def test_extremal_is_one_search(monkeypatch):
+    entries = []
+    original = search.search_extremal
+
+    def counted(*args, **kwargs):
+        entries.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(search, "search_extremal", counted)
+    assert search.search_extremal(3, 5).n_star == 36
+    assert entries == [(3, 5)]  # no search for k - 1, ..., 1
+
+
 def test_extremal_certifies_each_witness_once_on_the_table(monkeypatch):
     certified = []
+    skewed_top = 3
 
     def skewed_cover(basis, h, **kwargs):
         certified.append(str(basis))
-        return cover(basis, h, **kwargs) + (basis.top == 3)
+        return cover(basis, h, **kwargs) + (basis.top == skewed_top)
 
     monkeypatch.setattr(search, "cover", skewed_cover)
     with pytest.raises(AssertionError, match="witness 1,3 does not cover 4"):
         search_extremal(2, 2, 3)
     assert certified == ["1,2", "1,3"]  # not the prefix (1)
+
+    # a derived ceiling also certifies the (k - 1)-prefix it was read off
+    skewed_top = 1
+    certified.clear()
+    with pytest.raises(AssertionError, match="prefix 1 does not cover 2"):
+        search_extremal(2, 2)
+    assert certified == ["1,2", "1,3", "1"]
 
 
 def test_extremal_default_budget_answers_three_six():
