@@ -10,7 +10,7 @@ threshold h1 into the window [h0, max(h0, 2*h0 - 2)].
 
 from __future__ import annotations
 
-from .core import Basis, Generation, _Frozen, _set, compute_h0, cover_profile
+from .core import Basis, Generation, _check_sweep, _Frozen, _set, compute_h0, cover_profile
 from .errors import (
     NotSymmetricError,
     UsesTopElementError,
@@ -176,7 +176,10 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     so that is h0 or the profile's ``saturated_at``).  When ``cap`` is None
     it defaults to the proven saturation window max(h0, 2*h0 - 2) for
     symmetric bases, else to max(64, h0) so the search is always well
-    defined.  An explicit cap below h0 raises ValueError.
+    defined.  An explicit cap below h0 raises ValueError.  A basis with
+    k >= 2 and a_{k-1} != top - 1 never saturates (``meure_applicable``),
+    so it gets h1 None at any cap without a sweep; the cap then decides
+    only whether the sweep's size refusal fires.
     """
     symmetric = is_symmetric(basis)
     h0 = compute_h0(basis)
@@ -185,7 +188,11 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
         cap = bound if symmetric else max(DEFAULT_H1_CAP, h0)
     if cap < h0:
         raise ValueError(f"cap {cap} is below the admissibility threshold {h0}")
-    saturated_at = cover_profile(basis, cap).saturated_at
+    if symmetric or meure_applicable(basis):  # {1} is symmetric, and saturates
+        saturated_at = cover_profile(basis, cap).saturated_at
+    else:
+        _check_sweep(basis.top, cap)  # the sweep's refusal, then its known answer
+        saturated_at = None
     h1 = None if saturated_at is None else max(h0, saturated_at)
     conjecture_holds = h1 == h0
     return BasisReport(
@@ -203,13 +210,20 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
 def meure_applicable(basis: Basis) -> bool:
     """True iff the second-largest denomination is one below the largest.
 
-    Bases of this shape are guaranteed to saturate at some finite budget,
-    so an h1 search terminates in principle (the guarantee bounds nothing,
-    a cap can still be too small).  Every symmetric basis with at least
-    two elements qualifies automatically, because a_{k-1} = a_k - a_1;
-    the condition matters as the wider net that also catches
-    non-symmetric bases.
+    For k >= 2 these are exactly the bases that saturate at some budget.
+    If a_{k-1} = T - 1 for the top T, every budget h >= max(1, T - 2)
+    saturates: write x <= h*T as q*T + r with 0 <= r < T.  For r = 0, q
+    copies of T make x.  For r > 0, q < h; when q + 1 >= T - r, T - r
+    copies of T - 1 and q + 1 - (T - r) of T make x with q + 1 <= h
+    stamps, and otherwise q copies of T and r ones make it with
+    q + r <= T - 2 stamps.  Conversely, if k >= 2 (so T >= 2) and budget h
+    saturates, h*T - 1 is reachable, and h - 1 stamps reach at most
+    (h-1)*T < h*T - 1, so it is a sum of exactly h stamps whose shortfalls
+    from T add up to 1: T - 1 is an element, and it is the largest below
+    T.  ``analyze`` therefore sweeps no other basis with k >= 2.  The
+    one-element basis {1} saturates at h = 1 but is not counted here.
+    Every symmetric basis with at least two elements qualifies, because
+    a_{k-1} = a_k - a_1.
     """
-    if basis.k < 2:
-        return False
-    return basis.elements[-2] == basis.top - 1
+    elems = basis.elements
+    return len(elems) > 1 and elems[-2] == elems[-1] - 1

@@ -44,6 +44,7 @@ EXIT_INTERRUPTED = 130  # the shell's code for a run stopped by SIGINT
 
 _FAMILIES = {"a5": family_a5, "a9": family_a9, "a10": family_a10}
 _BASIS_FILE_NOTE = "; --basis-file always writes JSONL and ignores it"
+_CAP_DEFAULT = f"the proven window if symmetric, else max({DEFAULT_H1_CAP}, h0)"
 
 
 # ---------- rendering ----------
@@ -257,8 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=_positive_int,
         default=None,
-        help="largest budget tried for h1 (default: the proven window for "
-        f"symmetric bases, {DEFAULT_H1_CAP} otherwise)",
+        help=f"largest budget tried for h1 (default: {_CAP_DEFAULT})",
     )
     _add_format_argument(p_analyze, _BASIS_FILE_NOTE)
     p_analyze.set_defaults(func=_cmd_analyze)
@@ -284,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--h-cap",
         type=_positive_int,
         default=None,
-        help="h1 search cap per basis (default: per-basis window)",
+        help=f"largest budget tried for h1 in each basis (default: {_CAP_DEFAULT})",
     )
     p_scan.add_argument(
         "--mode",

@@ -314,6 +314,11 @@ def _cover_bound(top: int, h: int) -> int:
     return bound
 
 
+def _check_sweep(top: int, h_max: int) -> None:
+    """Refuse a sweep to h_max past the h_max * top + 2 entries of its table."""
+    _check_size(_cover_bound(top, h_max) + 1, "cover sweep")
+
+
 def _reach_cover(reach: int) -> int:
     """The cover read off a reach bitset: one below its lowest clear bit.
 
@@ -354,25 +359,39 @@ def cover_profile(basis: Basis, h_max: int) -> CoverProfile:
     R_h = R_{h-1} | OR_a R_{h-1} << a, where bit i of ``reach`` is value
     base + i; the cover is one below the lowest clear bit.  Every value
     below n + 1 - top is reachable and a shift by a <= top carries it to
-    at most n, so the window drops those bits after each budget.  Saturation
-    is permanent (if 1..h*top is reachable, adding top reaches the rest of
-    1..(h+1)*top), so the sweep stops at the first saturated budget and the
-    profile answers g * top from there on.  Refuses h_max * top + 2 entries
-    (the table it replaces) beyond DEFAULT_TABLE_LIMIT, before any shift.
+    at most n, so the window drops those bits after each budget.  When
+    a_{k-1} = top - 1 the top pair takes one shift of R | R << 1, which the
+    step by 1 builds anyway.  The cover is read off the low 2 * top + 2
+    bits, which hold the lowest clear bit unless the cover grew by more
+    than top + 1 (as on a saturated budget); only then is all of ``reach``
+    read.  Saturation is permanent (if 1..h*top is reachable, adding top
+    reaches the rest of 1..(h+1)*top), so the sweep stops at the first
+    saturated budget and the profile answers g * top from there on.
+    Refuses h_max * top + 2 entries (the table it replaces) beyond
+    DEFAULT_TABLE_LIMIT, before any shift.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
-    _check_size(_cover_bound(basis.top, h_max) + 1, "cover sweep")
-    top = basis.top
+    elems = basis.elements
+    top = elems[-1]
+    _check_sweep(top, h_max)
+    paired = len(elems) > 1 and elems[-2] == top - 1
+    mids = elems[1:-2] if paired else elems[1:-1]
+    last = top - 1 if paired else top
+    low = (1 << 2 * top + 2) - 1
     reach = 1  # only 0, with no stamps
     base = 0
     covers = []
     for h in range(1, h_max + 1):
-        grown = reach
-        for step in basis.elements:
+        pair = reach | reach << 1
+        grown = pair | (pair if paired else reach) << last
+        for step in mids:
             grown |= reach << step
         reach = grown
-        n = base + _reach_cover(reach)
+        window = reach & low
+        if window == low:
+            window = reach
+        n = base + (~window & (window + 1)).bit_length() - 2  # _reach_cover, no call
         if n == h * top:
             break
         covers.append(n)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import stampcover.core as core
 from stampcover import (
+    DEFAULT_H1_CAP,
     Basis,
     analyze,
     brute_force_cover,
@@ -21,6 +22,7 @@ from stampcover import (
     family_a9,
     family_a10,
     is_symmetric,
+    meure_applicable,
     min_stamp_table,
     symmetrize_even,
     symmetrize_odd,
@@ -42,6 +44,16 @@ def _table_covers(basis: Basis, h_max: int) -> list[int]:
             x += 1
         covers.append(x - 1)
     return covers
+
+
+def _swept_thresholds(basis: Basis, cap: int | None) -> tuple:
+    """(h0, h1, cap) of a reference that sweeps every basis up to its cap."""
+    h0 = compute_h0(basis)
+    if cap is None:
+        symmetric = is_symmetric(basis)
+        cap = max(h0, 2 * h0 - 2) if symmetric else max(DEFAULT_H1_CAP, h0)
+    saturated_at = cover_profile(basis, cap).saturated_at
+    return h0, None if saturated_at is None else max(h0, saturated_at), cap
 
 
 def _bases_up_to(k_max: int, top_max: int):
@@ -140,6 +152,61 @@ def test_h1_is_none_when_the_cap_ends_before_saturation(capsys):
     assert report.counterexample and not report.conjecture_holds
     assert main(["analyze", "--basis", str(basis), "--cap", "3", "--format", "jsonl"]) == 4
     assert json.loads(capsys.readouterr().out)["h1"] is None
+
+
+# ---------- bases that never saturate ----------
+
+
+def test_only_meure_bases_saturate_and_analyze_matches_a_sweep_exhaustively():
+    h_max = 6
+    for basis in _bases_up_to(5, 16):
+        covers = _table_covers(basis, h_max)
+        saturates = any(n == h * basis.top for h, n in enumerate(covers, start=1))
+        if basis.k > 1 and not meure_applicable(basis):
+            assert not saturates, basis
+        else:  # the docstring's bound: saturated by budget max(1, top - 2)
+            assert cover_profile(basis, max(1, basis.top - 2)).saturated_at, basis
+        h0 = compute_h0(basis)
+        for cap in (h0, h0 + 2, None):
+            report = analyze(basis, cap)
+            assert (report.h0, report.h1, report.h1_cap) == _swept_thresholds(
+                basis, cap
+            ), (basis, cap)
+
+
+def _wide_bases():
+    """General bases with tops up to 301, about half with a_{k-1} = top - 1."""
+    rest = st.sets(st.integers(2, 300), min_size=1, max_size=5)
+    return st.builds(
+        lambda r, meure: Basis((1, *sorted(r)) + ((max(r) + 1,) if meure else ())),
+        rest,
+        st.booleans(),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(basis=_wide_bases(), extra=st.one_of(st.none(), st.integers(0, 8)))
+def test_analyze_matches_a_sweep_on_wide_bases(basis, extra):
+    cap = None if extra is None else compute_h0(basis) + extra
+    report = analyze(basis, cap)
+    assert (report.h0, report.h1, report.h1_cap) == _swept_thresholds(basis, cap)
+
+
+def test_a_basis_that_never_saturates_keeps_the_sweep_refusals(monkeypatch, capsys):
+    basis = Basis((1, 3, 10))  # h0 = 4; a_{k-1} = 3, not 9, so nothing saturates
+    assert not meure_applicable(basis)
+    message = "cover sweep would need 52 entries, limit is 51"
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 5 * 10 + 1)
+    with pytest.raises(OverflowLimitError) as excinfo:
+        analyze(basis, 5)
+    assert str(excinfo.value) == message
+    assert main(["analyze", "--basis", "1,3,10", "--cap", "5"]) == 3
+    assert capsys.readouterr() == ("", f"error: OverflowLimitError: {message}\n")
+    with pytest.raises(ValueError) as excinfo:
+        analyze(basis, 3)
+    assert str(excinfo.value) == "cap 3 is below the admissibility threshold 4"
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 5 * 10 + 2)
+    assert analyze(basis, 5).h1 is None
 
 
 # ---------- refusals ----------
