@@ -27,7 +27,6 @@ from .analysis import (
 from .core import (
     Basis,
     CoverProfile,
-    CoverRow,
     Generation,
     MinStampTable,
     brute_force_cover,
@@ -56,7 +55,6 @@ __all__ = [
     "Basis",
     "BasisReport",
     "CoverProfile",
-    "CoverRow",
     "DEFAULT_H1_CAP",
     "ExtremalResult",
     "Generation",

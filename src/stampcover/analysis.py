@@ -10,7 +10,7 @@ threshold h1 into the window [h0, max(h0, 2*h0 - 2)].
 
 from __future__ import annotations
 
-from .core import Basis, Generation, _check_sweep, _Frozen, _set, compute_h0, cover_profile
+from .core import Basis, Generation, _check_sweep, _Frozen, compute_h0, cover_profile
 from .errors import (
     NotSymmetricError,
     UsesTopElementError,
@@ -140,19 +140,6 @@ class BasisReport(_Frozen):
         "conjecture_holds", "counterexample",
     )
 
-    def __init__(
-        self, basis: Basis, symmetric: bool, h0: int, h1: int | None, h1_cap: int,
-        theorem_bound: int, conjecture_holds: bool, counterexample: bool,
-    ) -> None:
-        _set(self, "basis", basis)
-        _set(self, "symmetric", symmetric)
-        _set(self, "h0", h0)
-        _set(self, "h1", h1)
-        _set(self, "h1_cap", h1_cap)
-        _set(self, "theorem_bound", theorem_bound)
-        _set(self, "conjecture_holds", conjecture_holds)
-        _set(self, "counterexample", counterexample)
-
     def to_json_dict(self) -> dict:
         """Stable-order dict for JSON output; do not reorder the keys."""
         return {
@@ -194,17 +181,8 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
         _check_sweep(basis.top, cap)  # the sweep's refusal, then its known answer
         saturated_at = None
     h1 = None if saturated_at is None else max(h0, saturated_at)
-    conjecture_holds = h1 == h0
-    return BasisReport(
-        basis=basis,
-        symmetric=symmetric,
-        h0=h0,
-        h1=h1,
-        h1_cap=cap,
-        theorem_bound=bound,
-        conjecture_holds=conjecture_holds,
-        counterexample=symmetric and not conjecture_holds,
-    )
+    holds = h1 == h0
+    return BasisReport(basis, symmetric, h0, h1, cap, bound, holds, symmetric and not holds)
 
 
 def meure_applicable(basis: Basis) -> bool:

@@ -143,7 +143,12 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     bases, fmt = _inputs(args)
     for basis in bases:
         if args.profile:
-            rows = [row._asdict() for row in cover_profile(basis, args.h).rows]
+            profile = cover_profile(basis, args.h)
+            first = profile.saturated_at or args.h + 1
+            rows = [
+                {"h": h, "cover": profile.cover(h), "saturated": h >= first}
+                for h in range(1, args.h + 1)
+            ]
             payload = {"basis": str(basis), "h_max": args.h, "rows": rows}
             _emit(payload, fmt, _profile_lines)
         else:

@@ -58,11 +58,24 @@ _set = object.__setattr__  # skips _Frozen.__setattr__; no __dict__ is materiali
 class _Frozen:
     """Immutable value: equality, hash and repr over the names in ``_fields``.
 
-    ``__init__`` sets each field with ``_set``; pickle restores the instance
-    dict directly, so an unpickled value is not validated again.
+    ``__init__`` takes the fields in order, first by position and then by
+    name, into the instance dict; a class that validates its input does so
+    before calling it.  Pickle restores the instance dict directly, so an
+    unpickled value is not validated again.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs:  # the fields after the positional ones, in order
+            args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
+        if len(args) != len(fields) or kwargs:
+            raise TypeError(
+                f"{type(self).__qualname__}() takes {', '.join(fields)}, "
+                "first by position and then by name"
+            )
+        self.__dict__.update(zip(fields, args))  # one call, past __setattr__
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -181,20 +194,13 @@ class Generation(_Frozen):
             raise ValueError("coefficients must be non-negative")
         if weight != sum(coeffs):
             raise ValueError(f"weight {weight} does not match coefficients {coeffs}")
-        _set(self, "coefficients", coeffs)
-        _set(self, "value", value)
-        _set(self, "weight", weight)
+        super().__init__(coeffs, value, weight)
 
 
 class MinStampTable(_Frozen):
     """``min_stamps[x]`` = fewest stamps summing to x, for 0 <= x <= bound."""
 
     _fields = ("basis", "bound", "min_stamps")
-
-    def __init__(self, basis: Basis, bound: int, min_stamps: tuple[int, ...]) -> None:
-        _set(self, "basis", basis)
-        _set(self, "bound", bound)
-        _set(self, "min_stamps", min_stamps)
 
     def generation(self, x: int, budget: int) -> Generation:
         """Reconstruct a minimal-weight generation of x, or refuse.
@@ -263,45 +269,33 @@ def find_generation(basis: Basis, x: int, h: int) -> Generation:
 # ---------- covers ----------
 
 
-class CoverRow(_Frozen):
-    """Cover at one budget; saturated means it reached h * top."""
-
-    _fields = ("h", "cover", "saturated")
-
-    def __init__(self, h: int, cover: int, saturated: bool) -> None:
-        _set(self, "h", h)
-        _set(self, "cover", cover)
-        _set(self, "saturated", saturated)
-
-
 class CoverProfile(_Frozen):
     """Covers for every budget 1..h_max of one basis.
 
     ``covers`` holds the covers of the budgets below ``saturated_at``, the
     first saturated budget (None when none up to h_max saturates); from
-    there on the cover is h * top.  ``rows`` is built each time it is read.
+    there on the cover is h * top.
     """
 
-    _fields = ("basis", "rows")
+    _fields = ("basis", "h_max", "covers")
 
     def __init__(self, basis: Basis, h_max: int, covers: tuple[int, ...]) -> None:
-        _set(self, "basis", basis)
-        _set(self, "h_max", h_max)
-        _set(self, "_covers", covers)
-        _set(self, "saturated_at", len(covers) + 1 if len(covers) < h_max else None)
+        covers = tuple(covers)
+        if len(covers) > h_max:
+            raise ValueError(f"{len(covers)} covers for budgets 1..{h_max}")
+        super().__init__(basis, h_max, covers)
+
+    @property
+    def saturated_at(self) -> int | None:
+        """The first budget whose cover is h * top, or None up to h_max."""
+        unsaturated = len(self.covers)
+        return unsaturated + 1 if unsaturated < self.h_max else None
 
     def cover(self, h: int) -> int:
         if not 1 <= h <= self.h_max:
             raise ValueError(f"h must be in 1..{self.h_max}, got {h}")
-        covers = self._covers
+        covers = self.covers
         return covers[h - 1] if h <= len(covers) else h * self.basis.top
-
-    @property
-    def rows(self) -> tuple[CoverRow, ...]:
-        top, first = self.basis.top, len(self._covers) + 1
-        rows = [CoverRow(h, n, False) for h, n in enumerate(self._covers, start=1)]
-        rows += (CoverRow(h, h * top, True) for h in range(first, self.h_max + 1))
-        return tuple(rows)
 
 
 def _cover_bound(top: int, h: int) -> int:

@@ -20,7 +20,7 @@ import os
 from collections.abc import Iterator
 
 from .analysis import BasisReport, _mirror, analyze
-from .core import Basis, _check_size, _cover_bound, _Frozen, _reach_cover, _set, cover
+from .core import Basis, _check_size, _cover_bound, _Frozen, _reach_cover, cover
 from .errors import StampError, TooLargeError, WorkerDiedError
 
 # Refuse extremal searches that would visit more prefixes than this.
@@ -91,20 +91,13 @@ class ScanSpec(_Frozen):
             raise ValueError(f"mode must be 'symmetric' or 'all', got {mode!r}")
         if h_cap is not None and h_cap < 1:
             raise ValueError(f"h_cap must be at least 1, got {h_cap}")
-        _set(self, "k", k)
-        _set(self, "ak_max", ak_max)
-        _set(self, "h_cap", h_cap)
-        _set(self, "mode", mode)
+        super().__init__(k, ak_max, h_cap, mode)
 
 
 class ScanFailure(_Frozen):
     """A basis the scan could not analyze; the scan itself continues."""
 
     _fields = ("basis", "error")
-
-    def __init__(self, basis: Basis, error: str) -> None:
-        _set(self, "basis", basis)
-        _set(self, "error", error)
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,10 +109,6 @@ class ScanFailure(_Frozen):
 
 class ScanSummary(_Frozen):
     _fields = ("scanned", "counterexamples")
-
-    def __init__(self, scanned: int, counterexamples: int) -> None:
-        _set(self, "scanned", scanned)
-        _set(self, "counterexamples", counterexamples)
 
 
 def _candidates(spec: ScanSpec) -> Iterator[Basis]:
@@ -275,15 +264,6 @@ class ExtremalResult(_Frozen):
 
     _fields = ("h", "k", "ak_ceiling", "n_star", "witnesses")
 
-    def __init__(
-        self, h: int, k: int, ak_ceiling: int, n_star: int, witnesses: tuple[Basis, ...]
-    ) -> None:
-        _set(self, "h", h)
-        _set(self, "k", k)
-        _set(self, "ak_ceiling", ak_ceiling)
-        _set(self, "n_star", n_star)
-        _set(self, "witnesses", witnesses)
-
 
 def search_extremal(
     h: int,
@@ -347,23 +327,33 @@ def search_extremal(
                 _check_size((h + 1) * entries, "levels", "bits", per_entry=64)
             checked = top
 
-    def visit(prefix: tuple[int, ...], levels: list[int]) -> None:
-        nonlocal best, found, head, head_cover
+    stack = []  # one frame per open prefix, so no Python frame per slot
+
+    def enter(prefix: tuple[int, ...], levels: list[int]) -> None:
+        nonlocal head, head_cover
         n = _reach_cover(levels[h])
         slots = k - len(prefix)
         if slots == 1 and n > head_cover:
             head, head_cover = prefix, n
-        upper = levels[1:]
         # admissible next elements; a given ceiling leaves room for the other slots
         cap = n + 1 if ak_ceiling is None else min(n + 1, ak_ceiling - slots + 1)
-        for nxt in range(prefix[-1] + 1, cap + 1):
+        stack.append((prefix, levels[1:], slots, iter(range(prefix[-1] + 1, cap + 1))))
+
+    admit(1)
+    if k == 1:
+        best, found = h, [(1,)]  # one stamp value reaches exactly 1..h
+    else:
+        enter((1,), [(2 << j) - 1 for j in range(h + 1)])
+    while stack:
+        prefix, upper, slots, nexts = stack[-1]
+        for nxt in nexts:
             admit(nxt)
             if slots > 1:
                 child = [1]
                 for level in upper:
                     child.append(level | child[-1] << nxt)
-                visit(prefix + (nxt,), child)
-                continue
+                enter(prefix + (nxt,), child)
+                break  # the child's frame runs next; this one resumes after it
             # a leaf: only its L'[h] is read, so carry one level along
             last = 1
             for level in upper:
@@ -373,12 +363,8 @@ def search_extremal(
                 best, found = leaf, []
             if leaf == best:
                 found.append(prefix + (nxt,))
-
-    admit(1)
-    if k == 1:
-        best, found = h, [(1,)]  # one stamp value reaches exactly 1..h
-    else:
-        visit((1,), [(2 << j) - 1 for j in range(h + 1)])
+        else:
+            stack.pop()
     witnesses = tuple(map(Basis, found))
     checks = [("witness", witness, best) for witness in witnesses]
     if ak_ceiling is None:

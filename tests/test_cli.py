@@ -347,6 +347,13 @@ def test_extremal_exit_6_when_too_large(capsys):
     )
 
 
+def test_extremal_exit_6_on_a_search_deeper_than_the_recursion_limit(capsys):
+    assert main(["extremal", "--h", "2", "--k", "1100"]) == 6
+    assert capsys.readouterr().err == (
+        "error: TooLargeError: h=2, k=1100: more than 100000 prefixes\n"
+    )
+
+
 # ---------- batch input ----------
 
 

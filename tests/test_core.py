@@ -258,11 +258,11 @@ def test_cover_profile_agrees_with_cover():
         h_max = rng.randint(1, 6)
         profile = cover_profile(basis, h_max)
         assert profile.h_max == h_max
-        for row in profile.rows:
-            assert row.cover == cover(basis, row.h)
-            assert row.saturated == (row.cover == row.h * basis.top)
-        assert [row.h for row in profile.rows] == list(range(1, h_max + 1))
-        covers = [row.cover for row in profile.rows]
+        covers = [profile.cover(h) for h in range(1, h_max + 1)]
+        first = profile.saturated_at or h_max + 1
+        for h, n in enumerate(covers, start=1):
+            assert n == cover(basis, h)
+            assert (h >= first) == (n == h * basis.top)
         assert covers == sorted(covers)
 
 

@@ -46,6 +46,13 @@ def _table_covers(basis: Basis, h_max: int) -> list[int]:
     return covers
 
 
+def _profile_rows(basis: Basis, h_max: int) -> list[tuple[int, int, bool]]:
+    """(h, cover, saturated) for budgets 1..h_max, read off one cover_profile."""
+    profile = cover_profile(basis, h_max)
+    first = profile.saturated_at or h_max + 1
+    return [(h, profile.cover(h), h >= first) for h in range(1, h_max + 1)]
+
+
 def _swept_thresholds(basis: Basis, cap: int | None) -> tuple:
     """(h0, h1, cap) of a reference that sweeps every basis up to its cap."""
     h0 = compute_h0(basis)
@@ -70,10 +77,9 @@ def test_sweep_matches_table_and_brute_force_exhaustively():
     checked = 0
     for basis in _bases_up_to(5, 16):
         expected = _table_covers(basis, h_max)
-        rows = cover_profile(basis, h_max).rows
-        assert [row.h for row in rows] == list(range(1, h_max + 1))
-        assert [row.cover for row in rows] == expected, basis
-        assert [row.saturated for row in rows] == [
+        rows = _profile_rows(basis, h_max)
+        assert [n for _, n, _ in rows] == expected, basis
+        assert [saturated for _, _, saturated in rows] == [
             n == h * basis.top for h, n in enumerate(expected, start=1)
         ]
         for h, n in enumerate(expected, start=1):
@@ -101,8 +107,10 @@ def test_window_keeps_long_sweeps_exact():
     # without the window this int would grow to h * top bits every layer
     basis = Basis((1, 3, 16))
     h_max = 20_000
-    covers = [row.cover for row in cover_profile(basis, h_max).rows]
+    profile = cover_profile(basis, h_max)
+    covers = [profile.cover(h) for h in range(1, h_max + 1)]
     assert covers == _table_covers(basis, h_max)
+    assert profile.saturated_at is None
 
 
 # ---------- saturation ----------
@@ -111,27 +119,26 @@ def test_window_keeps_long_sweeps_exact():
 def test_rows_after_saturation_match_the_table():
     # both saturate early, so almost every row comes from the short cut
     basis = family_a9(3)
-    rows = cover_profile(basis, 200).rows
-    assert [row.cover for row in rows] == _table_covers(basis, 200)
-    assert [row.saturated for row in rows] == [h >= 4 for h in range(1, 201)]
+    rows = _profile_rows(basis, 200)
+    assert [n for _, n, _ in rows] == _table_covers(basis, 200)
+    assert [saturated for _, _, saturated in rows] == [h >= 4 for h in range(1, 201)]
 
     basis = Basis((1, 2, 3))
     h_max = 20_000
     expected = [(h, 3 * h, True) for h in range(1, h_max + 1)]
     assert _table_covers(basis, h_max) == [n for _, n, _ in expected]
-    rows = cover_profile(basis, h_max).rows
-    assert [(row.h, row.cover, row.saturated) for row in rows] == expected
+    assert _profile_rows(basis, h_max) == expected
 
 
 @pytest.mark.parametrize("basis", [family_a9(5), family_a10(5)])
 def test_first_saturated_row_is_h1_above_h0(basis):
     report = analyze(basis)
     assert is_symmetric(basis) and report.h1 == report.h0 + 1
-    rows = cover_profile(basis, 40).rows
-    assert [row.cover for row in rows] == _table_covers(basis, 40)
-    first = next(row.h for row in rows if row.saturated)
-    assert first == report.h1
-    assert all(row.saturated == (row.h >= first) for row in rows)
+    rows = _profile_rows(basis, 40)
+    assert [n for _, n, _ in rows] == _table_covers(basis, 40)
+    first = next(h for h, n, _ in rows if n == h * basis.top)
+    assert first == report.h1 == cover_profile(basis, 40).saturated_at
+    assert all(saturated == (h >= first) for h, _, saturated in rows)
 
 
 def test_h1_of_a_basis_saturated_below_h0_is_h0():
@@ -275,7 +282,11 @@ def test_thresholds_match_one_table(basis, extra):
     saturated = [h for h, n in enumerate(covers, start=1) if h >= h0 and n == h * top]
     h1 = saturated[0] if saturated else None
     assert compute_h1(basis, cap) == h1
-    assert [row.cover for row in cover_profile(basis, cap).rows] == covers
+    assert [n for _, n, _ in _profile_rows(basis, cap)] == covers
+    saturated_at = cover_profile(basis, cap).saturated_at
+    assert saturated_at == next(
+        (h for h, n in enumerate(covers, start=1) if n == h * top), None
+    )
 
     report = analyze(basis, cap)
     assert (report.h0, report.h1, report.h1_cap) == (h0, h1, cap)

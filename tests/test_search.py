@@ -653,6 +653,13 @@ def test_extremal_level_guard_fires_before_levels_are_built(monkeypatch):
     assert peak < 100_000
 
 
+def test_extremal_search_deeper_than_the_recursion_limit():
+    # at h = 1 the only admissible path is 1, 2, ..., k: one prefix per slot
+    result = search_extremal(1, 1200)
+    assert (result.n_star, result.ak_ceiling) == (1200, 1200)
+    assert result.witnesses == (Basis(tuple(range(1, 1201))),)
+
+
 def test_extremal_one_denomination_needs_no_levels():
     # h + 1 levels of h + 2 bits would pass the level guard
     result = search_extremal(10**6, 1)

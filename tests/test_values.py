@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,6 @@ from stampcover import (
     Basis,
     BasisReport,
     CoverProfile,
-    CoverRow,
     ExtremalResult,
     Generation,
     MinStampTable,
@@ -25,7 +25,7 @@ from stampcover import (
 )
 
 # (value, an equal value built another way, a different value, the repr
-# the frozen dataclasses printed for the first)
+# of the first: the frozen dataclasses' format over the fields)
 CASES = {
     Basis: (
         lambda: Basis((1, 3)),
@@ -46,20 +46,11 @@ CASES = {
         "MinStampTable(basis=Basis(elements=(1, 3)), bound=4, "
         "min_stamps=(0, 1, 2, 1, 2))",
     ),
-    CoverRow: (
-        lambda: cover_profile(Basis((1, 3)), 3).rows[0],
-        lambda: CoverRow(1, 1, False),
-        lambda: CoverRow(1, 1, True),
-        "CoverRow(h=1, cover=1, saturated=False)",
-    ),
     CoverProfile: (
         lambda: cover_profile(Basis((1, 3, 4)), 3),
-        lambda: CoverProfile(Basis((1, 3, 4)), 3, (1,)),
+        lambda: CoverProfile(Basis((1, 3, 4)), 3, [1]),
         lambda: cover_profile(Basis((1, 3, 4)), 2),
-        "CoverProfile(basis=Basis(elements=(1, 3, 4)), rows=("
-        "CoverRow(h=1, cover=1, saturated=False), "
-        "CoverRow(h=2, cover=8, saturated=True), "
-        "CoverRow(h=3, cover=12, saturated=True)))",
+        "CoverProfile(basis=Basis(elements=(1, 3, 4)), h_max=3, covers=(1,))",
     ),
     BasisReport: (
         lambda: analyze(Basis((1, 2))),
@@ -151,6 +142,55 @@ def test_pickle_round_trips(cls):
     assert restored == value and restored != other
     assert hash(restored) == hash(value)
     assert repr(restored) == text
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in CASES if cls is not Basis], ids=lambda cls: cls.__name__
+)
+def test_shared_constructor_takes_fields_by_position_then_name(cls):
+    value = CASES[cls][0]()
+    args, kwargs = value._values(), value._asdict()
+    tail = dict(list(kwargs.items())[1:])
+    assert cls(*args) == cls(**kwargs) == cls(args[0], **tail) == value
+    refused = [
+        ((), tail),  # the first field missing
+        (args + (args[0],), {}),  # one argument too many
+        (args, {cls._fields[0]: args[0]}),  # the first field twice
+        (args, {"extra": 1}),  # a name that is not a field
+    ]
+    if "__init__" not in vars(cls):  # no defaults: the last field missing
+        refused.append((args[:-1], {}))
+    for bad_args, bad_kwargs in refused:
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)
+
+
+def test_shared_constructor_names_what_it_takes():
+    with pytest.raises(TypeError) as excinfo:
+        ScanSummary(3, scanned=3)
+    assert str(excinfo.value) == (
+        "ScanSummary() takes scanned, counterexamples, "
+        "first by position and then by name"
+    )
+
+
+def test_profile_identity_costs_no_rows():
+    profile = cover_profile(Basis((1, 2)), 2_000_000)
+    twin = CoverProfile(Basis((1, 2)), 2_000_000, ())
+    tracemalloc.start()
+    try:
+        assert profile == twin and hash(profile) == hash(twin)
+        assert profile != cover_profile(Basis((1, 2)), 1_999_999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert profile.saturated_at == 1 and profile.cover(2_000_000) == 4_000_000
+
+
+def test_profile_refuses_more_covers_than_budgets():
+    with pytest.raises(ValueError):
+        CoverProfile(Basis((1, 3)), 1, (1, 4))
 
 
 def test_unpickled_basis_is_not_validated_again(monkeypatch):
