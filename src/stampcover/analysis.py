@@ -5,12 +5,16 @@ A basis a_1 < ... < a_k is symmetric when a_i + a_{k-i} = a_k for every
 from zero) reads the same in both directions.  For such bases a
 generation of any x below a_k can be reflected into a generation of
 h0 * a_k - x that uses exactly h0 stamps, which pins the saturation
-threshold h1 into the window [h0, max(h0, 2*h0 - 2)].
+threshold h1 into the window [h0, max(h0, 2*h0 - 2)].  The table h0 is
+read off narrows that window further, most often to h1 = h0 itself.
 """
 
 from __future__ import annotations
 
-from .core import Basis, Generation, _check_sweep, _Frozen, compute_h0, cover_profile
+from operator import add
+
+from .core import Basis, Generation, _check_sweep, _Frozen, _h0_stamps
+from .core import compute_h0, cover_profile
 from .errors import (
     NotSymmetricError,
     UsesTopElementError,
@@ -155,30 +159,57 @@ class BasisReport(_Frozen):
         }
 
 
+def _reflection_ceiling(stamps: tuple[int, ...]) -> int:
+    """Sigma: every budget h >= sigma saturates the symmetric basis of ``stamps``.
+
+    With g(x) = stamps[x], the fewest stamps for x in 0..T+1 where T is
+    the top, sigma is the largest g(r) + g(T - r) - 2 over 1 <= r <= T - 1
+    (0 when T = 1).  Proof: write x <= h*T as q*T + r with 0 <= r < T.
+    For r = 0, q <= h copies of T make x.  For r > 0, q <= h - 1, and x
+    has two generations: q copies of T and a minimal one of r, with
+    q + g(r) stamps; and the reflection (``reflect_generation``) at
+    budget q + 1 of a minimal generation of T - r, which cannot use T,
+    with q + 1 stamps, valid when g(T - r) <= q + 1.  Both fail only when
+    h - g(r) < q < g(T - r) - 1, and no q does once
+    h >= g(r) + g(T - r) - 2.  So h1 <= max(h0, sigma), and since
+    g <= h0 on 1..T-1 that is never weaker than max(h0, 2*h0 - 2); when
+    sigma <= h0, h1 = h0.
+    """
+    top = len(stamps) - 2
+    return max(map(add, stamps[1:top], stamps[top - 1:0:-1]), default=2) - 2
+
+
 def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     """Full admissibility report for one basis.
 
-    h0 comes from ``compute_h0``, h1 from the first saturated budget from
-    h0 on of one ``cover_profile`` up to the cap (saturation is permanent,
-    so that is h0 or the profile's ``saturated_at``).  When ``cap`` is None
-    it defaults to the proven saturation window max(h0, 2*h0 - 2) for
-    symmetric bases, else to max(64, h0) so the search is always well
-    defined.  An explicit cap below h0 raises ValueError.  A basis with
-    k >= 2 and a_{k-1} != top - 1 never saturates (``meure_applicable``),
-    so it gets h1 None at any cap without a sweep; the cap then decides
-    only whether the sweep's size refusal fires.
+    h0 is the largest entry of one table ``_h0_stamps`` (as in
+    ``compute_h0``).  A symmetric basis whose ``_reflection_ceiling`` of
+    that table is at most h0 has h1 = h0 with no sweep.  Any other h1 is
+    the first saturated budget from h0 on of one ``cover_profile`` up to
+    the cap (saturation is permanent, so that is h0 or the profile's
+    ``saturated_at``).  When ``cap`` is None it defaults to the proven
+    saturation window max(h0, 2*h0 - 2) for symmetric bases, else to
+    max(64, h0) so the search is always well defined.  An explicit cap
+    below h0 raises ValueError.  A basis with k >= 2 and
+    a_{k-1} != top - 1 never saturates (``meure_applicable``), so it gets
+    h1 None at any cap without a sweep.  Where no sweep runs, the cap
+    still decides whether the sweep's size refusal fires.
     """
     symmetric = is_symmetric(basis)
-    h0 = compute_h0(basis)
+    stamps = _h0_stamps(basis)
+    h0 = max(stamps)
     bound = max(h0, 2 * h0 - 2)
     if cap is None:
         cap = bound if symmetric else max(DEFAULT_H1_CAP, h0)
     if cap < h0:
         raise ValueError(f"cap {cap} is below the admissibility threshold {h0}")
-    if symmetric or meure_applicable(basis):  # {1} is symmetric, and saturates
+    if symmetric and _reflection_ceiling(stamps) <= h0:
+        _check_sweep(basis.top, cap)  # the sweep's refusal, then its known answer
+        saturated_at = h0
+    elif symmetric or meure_applicable(basis):
         saturated_at = cover_profile(basis, cap).saturated_at
     else:
-        _check_sweep(basis.top, cap)  # the sweep's refusal, then its known answer
+        _check_sweep(basis.top, cap)
         saturated_at = None
     h1 = None if saturated_at is None else max(h0, saturated_at)
     holds = h1 == h0

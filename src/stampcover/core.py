@@ -337,14 +337,21 @@ def cover(basis: Basis, h: int) -> int:
     raise AssertionError("no gap found below h * top + 1")
 
 
+def _h0_stamps(basis: Basis) -> tuple[int, ...]:
+    """Fewest stamps for each value 0..top + 1: the one table h0 is read off.
+
+    OverflowLimitError when its top + 2 entries pass the table limit.
+    """
+    return min_stamp_table(basis, basis.top + 1).min_stamps
+
+
 def compute_h0(basis: Basis) -> int:
     """Smallest budget whose cover exceeds the top denomination.
 
     cover(h) passes top exactly when every x <= top + 1 needs at most h
-    stamps, so h0 is the largest entry of one table of top + 2 entries
-    (OverflowLimitError when that passes the table limit).
+    stamps, so h0 is the largest entry of ``_h0_stamps``.
     """
-    return max(min_stamp_table(basis, basis.top + 1).min_stamps)
+    return max(_h0_stamps(basis))
 
 
 def cover_profile(basis: Basis, h_max: int) -> CoverProfile:

@@ -2,28 +2,37 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stampcover.analysis as analysis
 import stampcover.core as core
 from stampcover import (
     DEFAULT_H1_CAP,
     Basis,
+    ScanSpec,
+    ScanSummary,
     analyze,
     brute_force_cover,
     compute_h0,
     compute_h1,
     cover,
     cover_profile,
+    enumerate_symmetric,
     family_a9,
     family_a10,
+    find_generation,
     is_symmetric,
     meure_applicable,
     min_stamp_table,
+    reflect_generation,
+    run_scan,
     symmetrize_even,
     symmetrize_odd,
 )
@@ -302,3 +311,128 @@ def test_thresholds_match_one_table(basis, extra):
             compute_h1(basis, h0 - 1)
         with pytest.raises(ValueError):
             analyze(basis, h0 - 1)
+
+
+# ---------- the reflection short cut ----------
+
+
+def _fewest_stamps(basis: Basis, bound: int) -> list[int]:
+    """Fewest stamps for 0..bound, by layers of sums rather than the table recurrence."""
+    need = {0: 0}
+    layer = {0}
+    h = 0
+    while len(need) <= bound:
+        h += 1
+        layer = {x + a for x in layer for a in basis.elements if x + a <= bound}
+        layer -= need.keys()
+        need.update(dict.fromkeys(layer, h))
+    return [need[x] for x in range(bound + 1)]
+
+
+def _sigma(basis: Basis) -> int:
+    """max over 1 <= r < top of g(r) + g(top - r) - 2; 0 for the basis {1}."""
+    top = basis.top
+    g = _fewest_stamps(basis, top)
+    return max((g[r] + g[top - r] - 2 for r in range(1, top)), default=0)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count table builds and sweeps through the bindings the benchmark probe rebinds."""
+    calls = {"tables": 0, "sweeps": 0}
+
+    def count(name, module, attr):
+        fn = getattr(module, attr)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+
+    count("tables", core, "min_stamp_table")
+    count("sweeps", analysis, "cover_profile")
+    return calls
+
+
+def test_reflection_short_cut_matches_a_sweep_on_small_symmetric_bases(counted):
+    short, total = 0, 0
+    for k in range(1, 11):
+        for basis in enumerate_symmetric(k, 24):
+            h0 = compute_h0(basis)
+            sigma = _sigma(basis)
+            for cap in (h0, h0 + 2, None):
+                sweeps = counted["sweeps"]
+                report = analyze(basis, cap)
+                assert (report.h0, report.h1, report.h1_cap) == _swept_thresholds(
+                    basis, cap
+                ), (basis, cap)
+                assert (counted["sweeps"] > sweeps) == (sigma > h0), (basis, cap)
+            total += 1
+            if sigma <= h0:
+                short += 1
+                if math.comb(h0 + basis.k, basis.k) <= 2_000:
+                    assert brute_force_cover(basis, h0) == h0 * basis.top, basis
+    assert (short, total) == (1452, 1685)
+    for basis in (family_a9(3), family_a10(5)):  # h1 = h0 + 1: the sweep must run
+        h0 = compute_h0(basis)
+        assert _sigma(basis) > h0
+        sweeps = counted["sweeps"]
+        assert analyze(basis).h1 == h0 + 1 and counted["sweeps"] == sweeps + 1
+
+
+def _wide_symmetric_bases():
+    """Symmetric bases with tops up to 300, mirrored from a random lower half."""
+    rest = st.sets(st.integers(2, 149), min_size=1, max_size=4)
+    half = rest.map(lambda r: Basis((1,) + tuple(sorted(r))))
+    return st.one_of(half.map(symmetrize_odd), half.map(symmetrize_even))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(basis=_wide_symmetric_bases(), extra=st.one_of(st.none(), st.integers(0, 8)), data=st.data())
+def test_reflection_ceiling_bounds_h1_on_wide_symmetric_bases(basis, extra, data):
+    top = basis.top
+    h0 = compute_h0(basis)
+    cap = None if extra is None else h0 + extra
+    report = analyze(basis, cap)
+    assert (report.h0, report.h1, report.h1_cap) == _swept_thresholds(basis, cap)
+    sigma = _sigma(basis)
+    assert report.h1 is not None and report.h1 <= max(h0, sigma) <= report.theorem_bound
+    if top < 2:
+        return
+    # the proof's second generation of q * top + r: the reflection of T - r at q + 1
+    r = data.draw(st.integers(1, top - 1), label="r")
+    low = find_generation(basis, top - r, h0)
+    for q in range(max(0, low.weight - 1), h0 - 1):
+        gen = reflect_generation(basis, low, q + 1)
+        assert (gen.value, gen.weight) == (q * top + r, q + 1)
+
+
+def test_scan_sym4_builds_one_table_per_basis_and_sweeps_none(tmp_path, counted):
+    out = tmp_path / "scan.jsonl"
+    assert run_scan(ScanSpec(4, 280), str(out), threads=1) == ScanSummary(139, 0)
+    assert counted == {"tables": 139, "sweeps": 0}
+    data = out.read_bytes()  # the bytes the sweep of every basis wrote
+    assert len(data) == 20417
+    assert hashlib.sha256(data).hexdigest() == (
+        "7c28391f11205b066434efa6a0675adf23ddfeaeb2794a5e5e850da5cbdb8e7e"
+    )
+
+
+def test_a_short_cut_basis_keeps_the_sweep_refusals(monkeypatch, capsys, counted):
+    basis = Basis((1, 4, 5))  # h0 = 3 = h1, with no sweep
+    assert is_symmetric(basis) and _sigma(basis) <= compute_h0(basis) == 3
+    message = "cover sweep would need 22 entries, limit is 21"
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 4 * 5 + 1)
+    with pytest.raises(OverflowLimitError) as excinfo:
+        analyze(basis, 4)
+    assert str(excinfo.value) == message
+    assert main(["analyze", "--basis", "1,4,5", "--cap", "4"]) == 3
+    assert capsys.readouterr() == ("", f"error: OverflowLimitError: {message}\n")
+    with pytest.raises(ValueError) as excinfo:
+        analyze(basis, 2)
+    assert str(excinfo.value) == "cap 2 is below the admissibility threshold 3"
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 4 * 5 + 2)
+    report = analyze(basis, 4)
+    assert (report.h0, report.h1, report.conjecture_holds) == (3, 3, True)
+    assert counted["sweeps"] == 0
