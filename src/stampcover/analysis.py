@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .core import Basis, Generation, _check_sweep, _Frozen, _h0_stamps
+from .core import Basis, Generation, _cover_entries, _Frozen, _h0_stamps
 from .core import compute_h0, cover_profile
 from .errors import (
     NotSymmetricError,
@@ -203,13 +203,12 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
         cap = bound if symmetric else max(DEFAULT_H1_CAP, h0)
     if cap < h0:
         raise ValueError(f"cap {cap} is below the admissibility threshold {h0}")
+    _cover_entries(basis.top, cap, "cover sweep")  # the sweep's refusal, swept or not
     if symmetric and _reflection_ceiling(stamps) <= h0:
-        _check_sweep(basis.top, cap)  # the sweep's refusal, then its known answer
         saturated_at = h0
     elif symmetric or meure_applicable(basis):
         saturated_at = cover_profile(basis, cap).saturated_at
     else:
-        _check_sweep(basis.top, cap)
         saturated_at = None
     h1 = None if saturated_at is None else max(h0, saturated_at)
     holds = h1 == h0

@@ -3,9 +3,10 @@
 A basis is a strictly increasing sequence of denominations starting at 1.
 Its cover at budget h is the largest n such that every integer in 1..n is
 a sum of at most h denominations (repetition allowed).  One windowed
-bitset sweep gives the covers of all budgets; the minimal-stamp table
-gives single covers, h0 and witnesses; a brute-force enumerator over
-coefficient vectors serves as an independent cross-check.
+bitset sweep gives the covers of all budgets, and with them every cover
+the program reports; the minimal-stamp table gives h0 and witnesses and
+certifies each single cover; a brute-force enumerator over coefficient
+vectors serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -298,19 +299,21 @@ class CoverProfile(_Frozen):
         return covers[h - 1] if h <= len(covers) else h * self.basis.top
 
 
-def _cover_bound(top: int, h: int) -> int:
-    """Table bound h * top + 1: the first value that cannot be covered."""
+def _cover_entries(top: int, h: int, what: str = "table") -> int:
+    """The h * top + 2 entries of a table up to budget h, or refuse them.
+
+    OverflowLimitError when h * top + 1, the first value no budget-h
+    generation reaches, does not fit in 64 bits, then when the entries
+    pass DEFAULT_TABLE_LIMIT, worded for ``what`` ("table" or "cover
+    sweep").  Every cover, sweep and extremal prefix refuses here.
+    """
     bound = h * top + 1
     if bound > MAX_ELEMENT:
         raise OverflowLimitError(
             f"h * top + 1 = {bound} does not fit in 64 bits"
         )
-    return bound
-
-
-def _check_sweep(top: int, h_max: int) -> None:
-    """Refuse a sweep to h_max past the h_max * top + 2 entries of its table."""
-    _check_size(_cover_bound(top, h_max) + 1, "cover sweep")
+    _check_size(bound + 1, what)
+    return bound + 1
 
 
 def _reach_cover(reach: int) -> int:
@@ -325,16 +328,21 @@ def cover(basis: Basis, h: int) -> int:
     """Largest n with every value 1..n a sum of at most h denominations.
 
     Always well defined: 1 is in the basis, so n >= h >= 1, and n can
-    never exceed h * top.
+    never exceed h * top.  n is read off one ``cover_profile`` sweep and
+    certified on a minimal-stamp table of n + 2 entries: n is the cover
+    exactly when every x in 1..n needs at most h stamps and n + 1 needs
+    more, and the table's recurrence computes those counts without the
+    sweep, so a wrong sweep raises AssertionError naming the basis.
+    Refuses as a table of h * top + 2 entries would, before the sweep.
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
-    bound = _cover_bound(basis.top, h)
-    stamps = min_stamp_table(basis, bound).min_stamps
-    for x in range(1, bound + 1):
-        if stamps[x] > h:
-            return x - 1
-    raise AssertionError("no gap found below h * top + 1")
+    _cover_entries(basis.top, h)
+    n = cover_profile(basis, h).cover(h)
+    stamps = min_stamp_table(basis, n + 1).min_stamps
+    if max(stamps[:-1]) > h or stamps[-1] <= h:
+        raise AssertionError(f"the table refutes cover {n} of {basis} at h={h}")
+    return n
 
 
 def _h0_stamps(basis: Basis) -> tuple[int, ...]:
@@ -368,14 +376,14 @@ def cover_profile(basis: Basis, h_max: int) -> CoverProfile:
     read.  Saturation is permanent (if 1..h*top is reachable, adding top
     reaches the rest of 1..(h+1)*top), so the sweep stops at the first
     saturated budget and the profile answers g * top from there on.
-    Refuses h_max * top + 2 entries (the table it replaces) beyond
-    DEFAULT_TABLE_LIMIT, before any shift.
+    Refuses the h_max * top + 2 entries of a table up to h_max
+    (``_cover_entries``), before any shift.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
     elems = basis.elements
     top = elems[-1]
-    _check_sweep(top, h_max)
+    _cover_entries(top, h_max, "cover sweep")
     paired = len(elems) > 1 and elems[-2] == top - 1
     mids = elems[1:-2] if paired else elems[1:-1]
     last = top - 1 if paired else top

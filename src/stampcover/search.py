@@ -20,7 +20,7 @@ import os
 from collections.abc import Iterator
 
 from .analysis import BasisReport, _mirror, analyze
-from .core import Basis, _check_size, _cover_bound, _Frozen, _reach_cover, cover
+from .core import Basis, _check_size, _cover_entries, _Frozen, _reach_cover, cover
 from .errors import StampError, TooLargeError, WorkerDiedError
 
 # Refuse extremal searches that would visit more prefixes than this.
@@ -43,9 +43,6 @@ def _check_box(k: int, top: int, name: str = "ak_max") -> None:
 def enumerate_all_bases(k: int, ak_max: int) -> Iterator[Basis]:
     """Every basis with k elements and top at most ak_max, lexicographic."""
     _check_box(k, ak_max)
-    if k == 1:
-        yield Basis((1,))
-        return
     for rest in itertools.combinations(range(2, ak_max + 1), k - 1):
         yield Basis((1,) + rest)
 
@@ -136,9 +133,18 @@ def _reports(
         yield from map(_evaluate, jobs)
         return
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    workers = min(threads, os.cpu_count() or 1)
+    # Executor.map submits all it is given before yielding a result, so the
+    # pool gets the box half a window at a time, not all at once.  pairwise
+    # submits the next half before this one drains, so no worker idles, and
+    # at most one window of bases is in flight.
+    window = 8 * workers * _SCAN_CHUNK
+    halves = iter(lambda: list(itertools.islice(jobs, window // 2)), [])
     try:
-        with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-            yield from pool.map(_evaluate, jobs, chunksize=_SCAN_CHUNK)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            maps = (pool.map(_evaluate, half, chunksize=_SCAN_CHUNK) for half in halves)
+            for results, _ in itertools.pairwise(itertools.chain(maps, [()])):
+                yield from results
     except BrokenProcessPool as exc:
         raise WorkerDiedError("a scan worker died") from exc
 
@@ -306,7 +312,9 @@ def search_extremal(
     prefix raises TooLargeError, and a prefix whose h * top + 1 passes
     64 bits, whose table of h * top + 2 entries passes the table limit,
     or (k > 1) whose h + 1 levels pass 64 bits per entry of that limit
-    (only h >= 64 can) raises OverflowLimitError.
+    (only h >= 64 can) raises OverflowLimitError.  The first two are the
+    refusals ``cover`` applies (``_cover_entries``), kept so that
+    refusals do not change although no prefix builds that table.
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
@@ -321,8 +329,7 @@ def search_extremal(
         if next(visits) > max_candidates:
             raise TooLargeError(f"h={h}, k={k}: more than {max_candidates} prefixes")
         if top > checked:  # sizes grow with top: one at or below a passed top passes
-            entries = _cover_bound(top, h) + 1
-            _check_size(entries)
+            entries = _cover_entries(top, h)
             if k > 1:
                 _check_size((h + 1) * entries, "levels", "bits", per_entry=64)
             checked = top

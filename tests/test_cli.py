@@ -159,6 +159,21 @@ def test_scan_writes_jsonl_and_summary(tmp_path, capsys):
     assert json.loads(lines[-1]) == {"summary": {"scanned": 10, "counterexamples": 0}}
 
 
+def test_scan_of_one_element_bases_writes_one_record(tmp_path, capsys):
+    record = (
+        '{"basis":"1","k":1,"symmetric":true,"h0":2,"h1":2,"h1_found":true,'
+        '"theorem_bound":2,"conjecture_holds":true,"counterexample":false}\n'
+        '{"summary":{"scanned":1,"counterexamples":0}}\n'
+    )
+    for mode in ("all", "symmetric"):
+        out = tmp_path / f"{mode}.jsonl"
+        args = ["scan", "--k", "1", "--ak-max", "3", "--mode", mode, "--out", str(out)]
+        assert main(args) == 0
+        summary = f"scanned=1 counterexamples=0 k=1 ak_max=3 mode={mode}\n"
+        assert capsys.readouterr().err == summary
+        assert out.read_text() == record
+
+
 def test_scan_exit_5_on_counterexample(tmp_path, capsys):
     out = tmp_path / "nine.jsonl"
     code = main(["scan", "--k", "9", "--ak-max", "28", "--out", str(out)])

@@ -225,6 +225,35 @@ def test_a_basis_that_never_saturates_keeps_the_sweep_refusals(monkeypatch, caps
     assert analyze(basis, 5).h1 is None
 
 
+def test_cover_certifies_the_sweep_on_one_table_of_its_cover_plus_two(monkeypatch):
+    bounds = []
+    table_real = core.min_stamp_table
+
+    def counting(basis, bound):
+        bounds.append(bound)
+        return table_real(basis, bound)
+
+    monkeypatch.setattr(core, "min_stamp_table", counting)
+    assert cover(Basis((1, 203, 41209)), 40) == 40
+    assert bounds == [41]  # not the 40 * 41209 + 1 of a table up to h * top
+
+
+def test_cover_refuses_a_sweep_its_table_does_not_certify(monkeypatch):
+    # at h = 2 the cover is 2, and 3 and 4 need 3 and 4 stamps: one too
+    # high fails at 3 below the table's end, one too low at its end, 2
+    basis = Basis((1, 5))
+    profile_real = core.cover_profile
+    assert cover(basis, 2) == 2
+    for skew in (1, -1):
+        def skewed(basis, h_max):
+            covers = profile_real(basis, h_max).covers
+            return core.CoverProfile(basis, h_max, tuple(n + skew for n in covers))
+
+        monkeypatch.setattr(core, "cover_profile", skewed)
+        with pytest.raises(AssertionError, match="1,5"):
+            cover(basis, 2)
+
+
 # ---------- refusals ----------
 
 

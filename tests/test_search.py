@@ -71,6 +71,12 @@ def test_enumerate_all_counts():
         assert count == math.comb(ak_max - 1, k - 1)
 
 
+def test_one_element_boxes_hold_only_the_basis_one():
+    for ak_max in (1, 3):
+        assert list(enumerate_all_bases(1, ak_max)) == [Basis((1,))]
+        assert list(enumerate_symmetric(1, ak_max)) == [Basis((1,))]
+
+
 def test_enumerate_rejects_impossible_boxes():
     with pytest.raises(ValueError):
         list(enumerate_symmetric(0, 5))
@@ -144,6 +150,25 @@ def test_scan_pool_is_bounded_by_the_cores_present(monkeypatch):
         assert list(scan_conjecture(spec, threads=threads)) == serial
         assert sizes.pop() == size
     assert sizes == []
+
+
+def test_scan_pool_draws_one_window_before_its_first_report(monkeypatch):
+    drawn = []
+    enumerate_real = search.enumerate_symmetric
+
+    def counting(k, ak_max):
+        for basis in enumerate_real(k, ak_max):
+            drawn.append(basis)
+            yield basis
+
+    monkeypatch.setattr(search, "enumerate_symmetric", counting)
+    reports = scan_conjecture(ScanSpec(9, 40), threads=2)
+    try:
+        first = next(reports)
+    finally:
+        reports.close()
+    assert first.basis == drawn[0]
+    assert len(drawn) <= 8 * 2 * search._SCAN_CHUNK  # one window, not the box's 7,752
 
 
 def test_box_refusals_are_worded_alike():
