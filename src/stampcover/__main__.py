@@ -1,6 +1,6 @@
-"""``python -m stampcover`` delegates to the command-line interface."""
+"""``python -m stampcover`` runs the same entry point as the console script."""
 
-from .cli import main
+from .cli import entry
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

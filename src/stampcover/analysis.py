@@ -192,8 +192,10 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     max(64, h0) so the search is always well defined.  An explicit cap
     below h0 raises ValueError.  A basis with k >= 2 and
     a_{k-1} != top - 1 never saturates (``meure_applicable``), so it gets
-    h1 None at any cap without a sweep.  Where no sweep runs, the cap
-    still decides whether the sweep's size refusal fires.
+    h1 None at any cap without a sweep.  No symmetric basis is among
+    them: {1} has sigma 0, and one with k >= 2 has a_{k-1} = top - 1.
+    Where no sweep runs, the cap still decides whether the sweep's size
+    refusal fires.
     """
     symmetric = is_symmetric(basis)
     stamps = _h0_stamps(basis)
@@ -206,7 +208,7 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     _cover_entries(basis.top, cap, "cover sweep")  # the sweep's refusal, swept or not
     if symmetric and _reflection_ceiling(stamps) <= h0:
         saturated_at = h0
-    elif symmetric or meure_applicable(basis):
+    elif meure_applicable(basis):
         saturated_at = cover_profile(basis, cap).saturated_at
     else:
         saturated_at = None

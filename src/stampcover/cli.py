@@ -44,7 +44,6 @@ EXIT_INTERRUPTED = 130  # the shell's code for a run stopped by SIGINT
 
 _FAMILIES = {"a5": family_a5, "a9": family_a9, "a10": family_a10}
 _BASIS_FILE_NOTE = "; --basis-file always writes JSONL and ignores it"
-_CAP_DEFAULT = f"the proven window if symmetric, else max({DEFAULT_H1_CAP}, h0)"
 
 
 # ---------- rendering ----------
@@ -176,7 +175,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    spec = ScanSpec(k=args.k, ak_max=args.ak_max, h_cap=args.h_cap, mode=args.mode)
+    spec = ScanSpec(k=args.k, ak_max=args.ak_max, mode=args.mode)
     summary = run_scan(spec, args.out, resume=args.resume, threads=args.threads)
     # the verdict only speaks for the scanned box, so name the box with it
     print(
@@ -263,7 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=_positive_int,
         default=None,
-        help=f"largest budget tried for h1 (default: {_CAP_DEFAULT})",
+        help="largest budget tried for h1 (default: the proven window if "
+        f"symmetric, else max({DEFAULT_H1_CAP}, h0))",
     )
     _add_format_argument(p_analyze, _BASIS_FILE_NOTE)
     p_analyze.set_defaults(func=_cmd_analyze)
@@ -284,12 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--k", type=_positive_int, required=True, help="basis size")
     p_scan.add_argument(
         "--ak-max", type=_positive_int, required=True, help="largest allowed top element"
-    )
-    p_scan.add_argument(
-        "--h-cap",
-        type=_positive_int,
-        default=None,
-        help=f"largest budget tried for h1 in each basis (default: {_CAP_DEFAULT})",
     )
     p_scan.add_argument(
         "--mode",

@@ -329,20 +329,25 @@ def cover(basis: Basis, h: int) -> int:
 
     Always well defined: 1 is in the basis, so n >= h >= 1, and n can
     never exceed h * top.  n is read off one ``cover_profile`` sweep and
-    certified on a minimal-stamp table of n + 2 entries: n is the cover
-    exactly when every x in 1..n needs at most h stamps and n + 1 needs
-    more, and the table's recurrence computes those counts without the
-    sweep, so a wrong sweep raises AssertionError naming the basis.
-    Refuses as a table of h * top + 2 entries would, before the sweep.
+    certified at g, the budget where the sweep first saturates (h if it
+    does not), on a minimal-stamp table of n_g + 2 entries: n_g is the
+    cover at g exactly when every x in 1..n_g needs at most g stamps and
+    n_g + 1 needs more, and the table's recurrence computes those counts
+    without the sweep, so a wrong sweep raises AssertionError naming the
+    basis.  Saturation is permanent (``cover_profile``), so a certified
+    n_g = g * top gives h * top at every h >= g.  Refuses as a table of
+    h * top + 2 entries would, before the sweep.
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
     _cover_entries(basis.top, h)
-    n = cover_profile(basis, h).cover(h)
+    profile = cover_profile(basis, h)
+    g = profile.saturated_at or h
+    n = profile.cover(g)
     stamps = min_stamp_table(basis, n + 1).min_stamps
-    if max(stamps[:-1]) > h or stamps[-1] <= h:
-        raise AssertionError(f"the table refutes cover {n} of {basis} at h={h}")
-    return n
+    if max(stamps[:-1]) > g or stamps[-1] <= g:
+        raise AssertionError(f"the table refutes cover {n} of {basis} at h={g}")
+    return profile.cover(h)
 
 
 def _h0_stamps(basis: Basis) -> tuple[int, ...]:

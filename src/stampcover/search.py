@@ -76,19 +76,19 @@ def enumerate_symmetric(k: int, ak_max: int) -> Iterator[Basis]:
 
 
 class ScanSpec(_Frozen):
-    """One scan box: basis size, top-element cap, h1 cap, enumeration mode."""
+    """One scan box: basis size, top-element cap, enumeration mode.
 
-    _fields = ("k", "ak_max", "h_cap", "mode")
+    Each basis in it gets ``analyze(basis)`` at analyze's default cap, so
+    every record of a scan depends on its basis alone.
+    """
 
-    def __init__(
-        self, k: int, ak_max: int, h_cap: int | None = None, mode: str = "symmetric"
-    ) -> None:
+    _fields = ("k", "ak_max", "mode")
+
+    def __init__(self, k: int, ak_max: int, mode: str = "symmetric") -> None:
         _check_box(k, ak_max)
         if mode not in ("symmetric", "all"):
             raise ValueError(f"mode must be 'symmetric' or 'all', got {mode!r}")
-        if h_cap is not None and h_cap < 1:
-            raise ValueError(f"h_cap must be at least 1, got {h_cap}")
-        super().__init__(k, ak_max, h_cap, mode)
+        super().__init__(k, ak_max, mode)
 
 
 class ScanFailure(_Frozen):
@@ -114,23 +114,19 @@ def _candidates(spec: ScanSpec) -> Iterator[Basis]:
     return enumerate_all_bases(spec.k, spec.ak_max)
 
 
-def _evaluate(job: tuple[Basis, int | None]) -> BasisReport | ScanFailure:
+def _evaluate(basis: Basis) -> BasisReport | ScanFailure:
     """Analyze one basis; must stay top-level so worker processes can load it."""
-    basis, h_cap = job
     try:
-        return analyze(basis, cap=h_cap)
+        return analyze(basis)
     except (StampError, ValueError) as exc:
         return ScanFailure(basis, f"{type(exc).__name__}: {exc}")
 
 
-def _reports(
-    bases: Iterator[Basis], h_cap: int | None, threads: int
-) -> Iterator[BasisReport | ScanFailure]:
+def _reports(bases: Iterator[Basis], threads: int) -> Iterator[BasisReport | ScanFailure]:
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    jobs = ((basis, h_cap) for basis in bases)
     if threads == 1:
-        yield from map(_evaluate, jobs)
+        yield from map(_evaluate, bases)
         return
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     workers = min(threads, os.cpu_count() or 1)
@@ -139,7 +135,7 @@ def _reports(
     # submits the next half before this one drains, so no worker idles, and
     # at most one window of bases is in flight.
     window = 8 * workers * _SCAN_CHUNK
-    halves = iter(lambda: list(itertools.islice(jobs, window // 2)), [])
+    halves = iter(lambda: list(itertools.islice(bases, window // 2)), [])
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             maps = (pool.map(_evaluate, half, chunksize=_SCAN_CHUNK) for half in halves)
@@ -159,7 +155,7 @@ def scan_conjecture(
     order, so the output stream does not depend on the worker count.
     A dead worker raises WorkerDiedError.
     """
-    return _reports(_candidates(spec), spec.h_cap, threads)
+    return _reports(_candidates(spec), threads)
 
 
 # ---------- persistence ----------
@@ -238,8 +234,8 @@ def run_scan(
     Resuming a file whose records are not the start of this box's
     enumeration (or, once finished, the whole box), or whose summary
     disagrees with its records, raises ValueError and leaves the file as
-    it was.  ``h_cap`` is not recorded in the file, so a resume cannot
-    tell it changed.
+    it was.  Each record depends on its basis alone, so matching every
+    basis is all a resume needs to write the same bytes.
     """
     bases = _candidates(spec)
     scanned = counterexamples = 0
@@ -251,7 +247,7 @@ def run_scan(
         os.truncate(out_path, offset)
         mode = "a"
     with open(out_path, mode, encoding="utf-8", newline="\n") as fh:
-        for item in _reports(bases, spec.h_cap, threads):
+        for item in _reports(bases, threads):
             record = item.to_json_dict()
             fh.write(_dumps(record) + "\n")
             fh.flush()

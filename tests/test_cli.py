@@ -218,11 +218,11 @@ def test_interrupted_scan_exits_130_and_resumes(tmp_path, monkeypatch, capsys):
     real_evaluate = search._evaluate
     state = {"calls": 0}
 
-    def fragile(job):
+    def fragile(basis):
         if state["calls"] == 3:
             raise KeyboardInterrupt
         state["calls"] += 1
-        return real_evaluate(job)
+        return real_evaluate(basis)
 
     monkeypatch.setattr(search, "_evaluate", fragile)
     capsys.readouterr()
@@ -264,11 +264,11 @@ def test_scan_resume_refuses_a_summary_its_records_do_not_match(tmp_path, capsys
     assert out.read_bytes() == tampered
 
 
-def _die_on_1_6_15_20_21(job):
+def _die_on_1_6_15_20_21(basis):
     """Scan evaluator that kills its worker process on one basis."""
-    if job[0].elements == (1, 6, 15, 20, 21):
+    if basis.elements == (1, 6, 15, 20, 21):
         os._exit(1)
-    return _REAL_EVALUATE(job)
+    return _REAL_EVALUATE(basis)
 
 
 def test_dead_scan_worker_exits_1_and_resumes(tmp_path, monkeypatch, capsys):
@@ -329,6 +329,15 @@ def test_sigkilled_scan_resumes_to_identical_bytes(tmp_path):
 def test_scan_rejects_impossible_box(capsys):
     assert main(["scan", "--k", "5", "--ak-max", "3", "--out", "/tmp/na.jsonl"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_scan_has_no_cap_option(tmp_path, capsys):
+    # each record depends on its basis alone; a larger cap is analyze --cap's
+    out = tmp_path / "capped.jsonl"
+    args = ["scan", "--h-cap", "5", "--k", "3", "--ak-max", "8", "--out", str(out)]
+    assert main(args) == 2
+    assert "unrecognized arguments: --h-cap 5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------- extremal ----------

@@ -225,7 +225,9 @@ def test_a_basis_that_never_saturates_keeps_the_sweep_refusals(monkeypatch, caps
     assert analyze(basis, 5).h1 is None
 
 
-def test_cover_certifies_the_sweep_on_one_table_of_its_cover_plus_two(monkeypatch):
+@pytest.fixture
+def table_bounds(monkeypatch):
+    """The bound of every table ``core`` builds while the test runs."""
     bounds = []
     table_real = core.min_stamp_table
 
@@ -234,8 +236,12 @@ def test_cover_certifies_the_sweep_on_one_table_of_its_cover_plus_two(monkeypatc
         return table_real(basis, bound)
 
     monkeypatch.setattr(core, "min_stamp_table", counting)
+    return bounds
+
+
+def test_cover_certifies_the_sweep_on_one_table_of_its_cover_plus_two(table_bounds):
     assert cover(Basis((1, 203, 41209)), 40) == 40
-    assert bounds == [41]  # not the 40 * 41209 + 1 of a table up to h * top
+    assert table_bounds == [41]  # not the 40 * 41209 + 1 of a table up to h * top
 
 
 def test_cover_refuses_a_sweep_its_table_does_not_certify(monkeypatch):
@@ -252,6 +258,30 @@ def test_cover_refuses_a_sweep_its_table_does_not_certify(monkeypatch):
         monkeypatch.setattr(core, "cover_profile", skewed)
         with pytest.raises(AssertionError, match="1,5"):
             cover(basis, 2)
+
+
+def test_cover_certifies_a_saturated_sweep_where_it_first_saturates(table_bounds):
+    # saturated at s = 2 and s = 1: one table of s * top + 2 entries each,
+    # not the h * top + 2 of the cover at h
+    assert cover(Basis((1, 3, 4)), 2000) == 8000
+    assert cover(Basis((1, 2)), 2**23 - 1) == 2**24 - 2
+    assert table_bounds == [2 * 4 + 1, 1 * 2 + 1]
+
+
+def test_cover_refuses_a_sweep_that_saturates_one_budget_early(monkeypatch):
+    # the a9 member with p = 3 first saturates at h1 = 4, one past h0
+    basis = family_a9(3)
+    profile_real = core.cover_profile
+    assert cover_profile(basis, 6).saturated_at == 4
+    assert cover(basis, 6) == 6 * basis.top
+
+    def early(basis, h_max):
+        covers = profile_real(basis, h_max).covers
+        return core.CoverProfile(basis, h_max, covers[:-1])
+
+    monkeypatch.setattr(core, "cover_profile", early)
+    with pytest.raises(AssertionError, match=f"{basis} at h=3"):
+        cover(basis, 6)
 
 
 # ---------- refusals ----------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -96,8 +97,8 @@ def test_scan_spec_validation():
         ScanSpec(k=5, ak_max=4)
     with pytest.raises(ValueError):
         ScanSpec(k=2, ak_max=5, mode="everything")
-    with pytest.raises(ValueError):
-        ScanSpec(k=2, ak_max=5, h_cap=0)
+    with pytest.raises(TypeError):
+        ScanSpec(k=2, ak_max=5, h_cap=4)  # a scan has no cap of its own
 
 
 def test_scan_flags_the_known_counterexample():
@@ -109,12 +110,17 @@ def test_scan_flags_the_known_counterexample():
     assert not any(isinstance(r, ScanFailure) for r in reports)
 
 
-def test_scan_records_failures_and_continues():
-    # a cap of 1 is below every basis's admissibility threshold
-    results = list(scan_conjecture(ScanSpec(k=3, ak_max=8, h_cap=1)))
-    assert results
-    assert all(isinstance(r, ScanFailure) for r in results)
-    assert "threshold" in results[0].error
+def test_scan_records_failures_and_continues(monkeypatch):
+    # the default sweep of 1,4,5 on needs more entries than a limit of 20
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 20)
+    results = list(scan_conjecture(ScanSpec(k=3, ak_max=8)))
+    assert [type(r) for r in results] == [BasisReport] * 2 + [ScanFailure] * 4
+    assert [str(r.basis) for r in results] == [f"1,{a},{a + 1}" for a in range(2, 8)]
+    for failure in results[2:]:
+        assert re.fullmatch(
+            r"OverflowLimitError: cover sweep would need \d+ entries, limit is 20",
+            failure.error,
+        )
 
 
 def test_scan_threads_do_not_change_results():
@@ -193,7 +199,7 @@ def test_box_refusals_are_worded_alike():
 
 
 def test_scan_all_mode_covers_every_basis():
-    spec = ScanSpec(k=3, ak_max=8, mode="all", h_cap=8)
+    spec = ScanSpec(k=3, ak_max=8, mode="all")
     results = list(scan_conjecture(spec))
     assert len(results) == math.comb(7, 2)
 
@@ -253,11 +259,11 @@ def test_interrupted_scan_resumes_to_identical_bytes(tmp_path, monkeypatch):
     real_evaluate = search._evaluate
     state = {"calls": 0}
 
-    def fragile(job):
+    def fragile(basis):
         if state["calls"] == 9:
             raise KeyboardInterrupt
         state["calls"] += 1
-        return real_evaluate(job)
+        return real_evaluate(basis)
 
     monkeypatch.setattr(search, "_evaluate", fragile)
     with pytest.raises(KeyboardInterrupt):
@@ -280,9 +286,9 @@ def test_resume_continues_after_the_last_record(tmp_path, monkeypatch):
     analyzed = []
     real_evaluate = search._evaluate
 
-    def recording(job):
-        analyzed.append(job[0])
-        return real_evaluate(job)
+    def recording(basis):
+        analyzed.append(basis)
+        return real_evaluate(basis)
 
     monkeypatch.setattr(search, "_evaluate", recording)
     assert run_scan(spec, str(out), resume=True) == reference

@@ -64,9 +64,9 @@ CASES = {
     ),
     ScanSpec: (
         lambda: ScanSpec(3, 8),
-        lambda: ScanSpec(k=3, ak_max=8, h_cap=None, mode="symmetric"),
-        lambda: ScanSpec(3, 8, h_cap=4, mode="all"),
-        "ScanSpec(k=3, ak_max=8, h_cap=None, mode='symmetric')",
+        lambda: ScanSpec(k=3, ak_max=8, mode="symmetric"),
+        lambda: ScanSpec(3, 8, mode="all"),
+        "ScanSpec(k=3, ak_max=8, mode='symmetric')",
     ),
     ScanFailure: (
         lambda: ScanFailure(Basis((1,)), "ValueError: cap"),
@@ -217,12 +217,11 @@ def test_unpickled_profile_keeps_its_saturation():
 
 def test_scan_spec_defaults_and_refusals():
     spec = ScanSpec(4, 10)
-    assert (spec.k, spec.ak_max, spec.h_cap, spec.mode) == (4, 10, None, "symmetric")
+    assert (spec.k, spec.ak_max, spec.mode) == (4, 10, "symmetric")
     for args, kwargs, message in [
         ((0, 10), {}, "k must be at least 1, got 0"),
         ((4, 3), {}, "ak_max 3 cannot fit 4 increasing elements"),
         ((4, 10), {"mode": "odd"}, "mode must be 'symmetric' or 'all', got 'odd'"),
-        ((4, 10), {"h_cap": 0}, "h_cap must be at least 1, got 0"),
     ]:
         with pytest.raises(ValueError) as excinfo:
             ScanSpec(*args, **kwargs)
@@ -231,4 +230,4 @@ def test_scan_spec_defaults_and_refusals():
 
 def test_asdict_lists_the_fields_in_order():
     assert ScanSummary(7, 2)._asdict() == {"scanned": 7, "counterexamples": 2}
-    assert list(ScanSpec(3, 8)._asdict()) == ["k", "ak_max", "h_cap", "mode"]
+    assert list(ScanSpec(3, 8)._asdict()) == ["k", "ak_max", "mode"]
