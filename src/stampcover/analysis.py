@@ -194,10 +194,14 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     a_{k-1} != top - 1 never saturates (``meure_applicable``), so it gets
     h1 None at any cap without a sweep.  No symmetric basis is among
     them: {1} has sigma 0, and one with k >= 2 has a_{k-1} = top - 1.
-    Where no sweep runs, the cap still decides whether the sweep's size
-    refusal fires.
+    Only a sweep that runs refuses: a non-symmetric basis that is
+    ``meure_applicable`` always sweeps, to at least 64 or the given cap,
+    so that size is refused before the table; the sweep refuses its
+    final cap itself.
     """
     symmetric = is_symmetric(basis)
+    if not symmetric and meure_applicable(basis):
+        _cover_entries(basis.top, DEFAULT_H1_CAP if cap is None else cap)
     stamps = _h0_stamps(basis)
     h0 = max(stamps)
     bound = max(h0, 2 * h0 - 2)
@@ -205,7 +209,6 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
         cap = bound if symmetric else max(DEFAULT_H1_CAP, h0)
     if cap < h0:
         raise ValueError(f"cap {cap} is below the admissibility threshold {h0}")
-    _cover_entries(basis.top, cap, "cover sweep")  # the sweep's refusal, swept or not
     if symmetric and _reflection_ceiling(stamps) <= h0:
         saturated_at = h0
     elif meure_applicable(basis):

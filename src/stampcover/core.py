@@ -26,9 +26,10 @@ from .errors import (
 
 MAX_ELEMENT = 2**64 - 1
 
-# Refuse to allocate tables beyond this many entries (roughly 128 MB as a
-# Python list); desk-scale work stays far below it.  Every refusal reads
-# this name when it is called.
+# Refuse to allocate tables beyond this many entries.  Each entry is a
+# separate int object, and ``min_stamp_table`` holds a list and its tuple
+# copy, so a table near the limit peaks at about 750 MiB; desk-scale work
+# stays far below it.  Every refusal reads this name when it is called.
 DEFAULT_TABLE_LIMIT = 1 << 24
 
 # Refuse brute-force enumerations beyond this many coefficient vectors.
@@ -299,20 +300,20 @@ class CoverProfile(_Frozen):
         return covers[h - 1] if h <= len(covers) else h * self.basis.top
 
 
-def _cover_entries(top: int, h: int, what: str = "table") -> int:
-    """The h * top + 2 entries of a table up to budget h, or refuse them.
+def _cover_entries(top: int, h: int) -> int:
+    """The h * top + 2 entries a cover sweep up to budget h stands for, or refuse.
 
     OverflowLimitError when h * top + 1, the first value no budget-h
     generation reaches, does not fit in 64 bits, then when the entries
-    pass DEFAULT_TABLE_LIMIT, worded for ``what`` ("table" or "cover
-    sweep").  Every cover, sweep and extremal prefix refuses here.
+    pass DEFAULT_TABLE_LIMIT.  A sweep (``cover_profile``), the sweep
+    ``analyze`` is sure to run, and each extremal prefix refuse here.
     """
     bound = h * top + 1
     if bound > MAX_ELEMENT:
         raise OverflowLimitError(
             f"h * top + 1 = {bound} does not fit in 64 bits"
         )
-    _check_size(bound + 1, what)
+    _check_size(bound + 1, "cover sweep")
     return bound + 1
 
 
@@ -335,12 +336,11 @@ def cover(basis: Basis, h: int) -> int:
     n_g + 1 needs more, and the table's recurrence computes those counts
     without the sweep, so a wrong sweep raises AssertionError naming the
     basis.  Saturation is permanent (``cover_profile``), so a certified
-    n_g = g * top gives h * top at every h >= g.  Refuses as a table of
-    h * top + 2 entries would, before the sweep.
+    n_g = g * top gives h * top at every h >= g.  The sweep's own
+    refusal (``_cover_entries``) fires before any shift or table.
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
-    _cover_entries(basis.top, h)
     profile = cover_profile(basis, h)
     g = profile.saturated_at or h
     n = profile.cover(g)
@@ -381,14 +381,14 @@ def cover_profile(basis: Basis, h_max: int) -> CoverProfile:
     read.  Saturation is permanent (if 1..h*top is reachable, adding top
     reaches the rest of 1..(h+1)*top), so the sweep stops at the first
     saturated budget and the profile answers g * top from there on.
-    Refuses the h_max * top + 2 entries of a table up to h_max
-    (``_cover_entries``), before any shift.
+    Refuses when h_max * top + 2, the entries of the table the sweep
+    stands for, pass the limit (``_cover_entries``), before any shift.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
     elems = basis.elements
     top = elems[-1]
-    _cover_entries(top, h_max, "cover sweep")
+    _cover_entries(top, h_max)
     paired = len(elems) > 1 and elems[-2] == top - 1
     mids = elems[1:-2] if paired else elems[1:-1]
     last = top - 1 if paired else top

@@ -306,11 +306,13 @@ def search_extremal(
 
     Before anything is built for it, the ``max_candidates`` + 1-th
     prefix raises TooLargeError, and a prefix whose h * top + 1 passes
-    64 bits, whose table of h * top + 2 entries passes the table limit,
+    64 bits, whose h * top + 2 sweep entries pass the table limit,
     or (k > 1) whose h + 1 levels pass 64 bits per entry of that limit
     (only h >= 64 can) raises OverflowLimitError.  The first two are the
-    refusals ``cover`` applies (``_cover_entries``), kept so that
-    refusals do not change although no prefix builds that table.
+    refusals of the sweep ``cover`` runs (``_cover_entries``): checked
+    on every top the search visits, they ensure that certifying a
+    witness or the (k - 1)-prefix with ``cover`` cannot refuse after the
+    search.
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")

@@ -208,21 +208,18 @@ def test_analyze_matches_a_sweep_on_wide_bases(basis, extra):
     assert (report.h0, report.h1, report.h1_cap) == _swept_thresholds(basis, cap)
 
 
-def test_a_basis_that_never_saturates_keeps_the_sweep_refusals(monkeypatch, capsys):
+def test_a_basis_that_never_saturates_is_not_refused_a_sweep_it_skips(monkeypatch, capsys, counted):
     basis = Basis((1, 3, 10))  # h0 = 4; a_{k-1} = 3, not 9, so nothing saturates
     assert not meure_applicable(basis)
-    message = "cover sweep would need 52 entries, limit is 51"
+    # a sweep to cap 5 would need 52 entries; none runs, so none is refused
     monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 5 * 10 + 1)
-    with pytest.raises(OverflowLimitError) as excinfo:
-        analyze(basis, 5)
-    assert str(excinfo.value) == message
-    assert main(["analyze", "--basis", "1,3,10", "--cap", "5"]) == 3
-    assert capsys.readouterr() == ("", f"error: OverflowLimitError: {message}\n")
+    assert analyze(basis, 5).h1 is None
+    assert main(["analyze", "--basis", "1,3,10", "--cap", "5"]) == 4
+    assert capsys.readouterr().err == ""
     with pytest.raises(ValueError) as excinfo:
         analyze(basis, 3)
     assert str(excinfo.value) == "cap 3 is below the admissibility threshold 4"
-    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 5 * 10 + 2)
-    assert analyze(basis, 5).h1 is None
+    assert counted["sweeps"] == 0
 
 
 @pytest.fixture
@@ -478,20 +475,38 @@ def test_scan_sym4_builds_one_table_per_basis_and_sweeps_none(tmp_path, counted)
     )
 
 
-def test_a_short_cut_basis_keeps_the_sweep_refusals(monkeypatch, capsys, counted):
+def test_a_short_cut_basis_is_not_refused_a_sweep_it_skips(monkeypatch, capsys, counted):
     basis = Basis((1, 4, 5))  # h0 = 3 = h1, with no sweep
     assert is_symmetric(basis) and _sigma(basis) <= compute_h0(basis) == 3
-    message = "cover sweep would need 22 entries, limit is 21"
+    # a sweep to cap 4 would need 22 entries; none runs, so none is refused
     monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 4 * 5 + 1)
-    with pytest.raises(OverflowLimitError) as excinfo:
-        analyze(basis, 4)
-    assert str(excinfo.value) == message
-    assert main(["analyze", "--basis", "1,4,5", "--cap", "4"]) == 3
-    assert capsys.readouterr() == ("", f"error: OverflowLimitError: {message}\n")
+    report = analyze(basis, 4)
+    assert (report.h0, report.h1, report.conjecture_holds) == (3, 3, True)
+    assert main(["analyze", "--basis", "1,4,5", "--cap", "4"]) == 0
+    assert capsys.readouterr().err == ""
     with pytest.raises(ValueError) as excinfo:
         analyze(basis, 2)
     assert str(excinfo.value) == "cap 2 is below the admissibility threshold 3"
-    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 4 * 5 + 2)
-    report = analyze(basis, 4)
-    assert (report.h0, report.h1, report.conjecture_holds) == (3, 3, True)
     assert counted["sweeps"] == 0
+
+
+def test_a_sure_sweep_is_refused_before_the_h0_table(monkeypatch, capsys, counted):
+    # non-symmetric and a_{k-1} = top - 1: it sweeps to at least 64
+    basis = Basis((1, 3, 4999999, 5000000))
+    assert meure_applicable(basis) and not is_symmetric(basis)
+    message = "cover sweep would need 320000002 entries, limit is 16777216"
+    with pytest.raises(OverflowLimitError) as excinfo:
+        analyze(basis)
+    assert str(excinfo.value) == message
+    assert main(["analyze", "--basis", str(basis)]) == 3
+    assert capsys.readouterr() == ("", f"error: OverflowLimitError: {message}\n")
+    assert counted == {"tables": 0, "sweeps": 0}
+    # an explicit cap is refused the same way, and cap 0 is not read as 64
+    with pytest.raises(OverflowLimitError, match="1000000000002 entries"):
+        analyze(basis, 200000)
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 64 * 5 + 1)
+    with pytest.raises(OverflowLimitError, match="322 entries, limit is 321"):
+        analyze(Basis((1, 3, 4, 5)))
+    with pytest.raises(ValueError, match="cap 0 is below"):
+        analyze(Basis((1, 3, 4, 5)), 0)
+    assert counted == {"tables": 1, "sweeps": 0}

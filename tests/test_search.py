@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 import tracemalloc
 
 import pytest
@@ -111,16 +110,20 @@ def test_scan_flags_the_known_counterexample():
 
 
 def test_scan_records_failures_and_continues(monkeypatch):
-    # the default sweep of 1,4,5 on needs more entries than a limit of 20
-    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 20)
-    results = list(scan_conjecture(ScanSpec(k=3, ak_max=8)))
-    assert [type(r) for r in results] == [BasisReport] * 2 + [ScanFailure] * 4
-    assert [str(r.basis) for r in results] == [f"1,{a},{a + 1}" for a in range(2, 8)]
-    for failure in results[2:]:
-        assert re.fullmatch(
-            r"OverflowLimitError: cover sweep would need \d+ entries, limit is 20",
-            failure.error,
-        )
+    # only a non-symmetric basis with a_{k-1} = top - 1 sweeps, to cap 64:
+    # at top 6 that needs 386 entries, past a limit of 322
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 64 * 5 + 2)
+    results = list(scan_conjecture(ScanSpec(k=4, ak_max=6, mode="all")))
+    assert [type(r) for r in results] == (
+        [BasisReport] * 5 + [ScanFailure] + [BasisReport] * 3 + [ScanFailure]
+    )
+    failures = [r for r in results if isinstance(r, ScanFailure)]
+    assert [str(r.basis) for r in failures] == ["1,2,5,6", "1,4,5,6"]
+    assert {r.error for r in failures} == {
+        "OverflowLimitError: cover sweep would need 386 entries, limit is 322"
+    }
+    found = [str(r.basis) for r in results if isinstance(r, BasisReport) and r.h1 is not None]
+    assert found == ["1,2,3,4", "1,2,4,5", "1,3,4,5", "1,3,5,6"]
 
 
 def test_scan_threads_do_not_change_results():
@@ -644,13 +647,19 @@ def test_extremal_certifies_each_witness_once_on_the_table(monkeypatch):
     assert certified == ["1,2", "1,3", "1"]
 
 
+def test_extremal_two_denominations_match_the_closed_form():
+    # n(h, 2) = floor((h^2 + 6h + 1) / 4): an oracle past brute force's reach
+    for h in range(1, 41):
+        assert search_extremal(h, 2).n_star == (h * h + 6 * h + 1) // 4
+
+
 def test_extremal_default_budget_answers_three_six():
     result = search_extremal(3, 6)
     assert result.n_star == 52
 
 
 def test_extremal_table_limit_refuses_at_the_same_node(monkeypatch):
-    # the first prefix whose table of h * top + 2 entries passes 40 has top 13
+    # the first prefix whose sweep of h * top + 2 entries passes 40 has top 13
     monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 40)
     visited = []
     with pytest.raises(OverflowLimitError) as old:
@@ -661,7 +670,7 @@ def test_extremal_table_limit_refuses_at_the_same_node(monkeypatch):
     with pytest.raises(OverflowLimitError) as new:
         search_extremal(3, 4, 16, max_candidates=len(visited))
     assert str(new.value) == str(old.value)
-    assert str(new.value) == "table would need 41 entries, limit is 40"
+    assert str(new.value) == "cover sweep would need 41 entries, limit is 40"
 
 
 def test_extremal_level_guard_fires_before_levels_are_built(monkeypatch):
