@@ -8,8 +8,7 @@ special treatment because reflection pins their saturation threshold
 into a provable window.
 """
 
-from __future__ import annotations
-
+# The public names: ``import *`` binds these and the four submodules.
 from . import errors
 from .analysis import (
     DEFAULT_H1_CAP,
@@ -50,40 +49,3 @@ from .search import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Basis",
-    "BasisReport",
-    "CoverProfile",
-    "DEFAULT_H1_CAP",
-    "ExtremalResult",
-    "Generation",
-    "MinStampTable",
-    "ScanFailure",
-    "ScanSpec",
-    "ScanSummary",
-    "analyze",
-    "brute_force_cover",
-    "compute_h0",
-    "compute_h1",
-    "cover",
-    "cover_profile",
-    "differences",
-    "enumerate_all_bases",
-    "enumerate_symmetric",
-    "errors",
-    "family_a10",
-    "family_a5",
-    "family_a9",
-    "find_generation",
-    "is_symmetric",
-    "meure_applicable",
-    "min_stamp_table",
-    "parse_basis",
-    "reflect_generation",
-    "run_scan",
-    "scan_conjecture",
-    "search_extremal",
-    "symmetrize_even",
-    "symmetrize_odd",
-]

@@ -164,7 +164,9 @@ def _reflection_ceiling(stamps: tuple[int, ...]) -> int:
 
     With g(x) = stamps[x], the fewest stamps for x in 0..T+1 where T is
     the top, sigma is the largest g(r) + g(T - r) - 2 over 1 <= r <= T - 1
-    (0 when T = 1).  Proof: write x <= h*T as q*T + r with 0 <= r < T.
+    (0 when T = 1).  The sum is the same for r and T - r, so only the
+    pairs with r <= T/2 are read, each once, from two half-length slices.
+    Proof: write x <= h*T as q*T + r with 0 <= r < T.
     For r = 0, q <= h copies of T make x.  For r > 0, q <= h - 1, and x
     has two generations: q copies of T and a minimal one of r, with
     q + g(r) stamps; and the reflection (``reflect_generation``) at
@@ -176,7 +178,8 @@ def _reflection_ceiling(stamps: tuple[int, ...]) -> int:
     sigma <= h0, h1 = h0.
     """
     top = len(stamps) - 2
-    return max(map(add, stamps[1:top], stamps[top - 1:0:-1]), default=2) - 2
+    half = top // 2 + 1
+    return max(map(add, stamps[1:half], stamps[top - 1:top - half:-1]), default=2) - 2
 
 
 def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
@@ -200,7 +203,8 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     final cap itself.
     """
     symmetric = is_symmetric(basis)
-    if not symmetric and meure_applicable(basis):
+    meure = meure_applicable(basis)
+    if meure and not symmetric:
         _cover_entries(basis.top, DEFAULT_H1_CAP if cap is None else cap)
     stamps = _h0_stamps(basis)
     h0 = max(stamps)
@@ -211,7 +215,7 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
         raise ValueError(f"cap {cap} is below the admissibility threshold {h0}")
     if symmetric and _reflection_ceiling(stamps) <= h0:
         saturated_at = h0
-    elif meure_applicable(basis):
+    elif meure:
         saturated_at = cover_profile(basis, cap).saturated_at
     else:
         saturated_at = None

@@ -161,8 +161,8 @@ def scan_conjecture(
 # ---------- persistence ----------
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# json.dumps caches only its default encoder, so keep the compact one here
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _is_counterexample(record: dict) -> bool:

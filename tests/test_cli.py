@@ -295,10 +295,9 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
-def test_sigkilled_scan_resumes_to_identical_bytes(tmp_path):
-    spec = search.ScanSpec(k=9, ak_max=40)
+def test_sigkilled_scan_resumes_to_identical_bytes(tmp_path, k9_top40_scan):
     reference = tmp_path / "reference.jsonl"
-    search.run_scan(spec, str(reference))
+    reference.write_bytes(k9_top40_scan[0])
 
     out = tmp_path / "killed.jsonl"
     proc = subprocess.Popen(

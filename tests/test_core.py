@@ -7,8 +7,11 @@ import random
 
 import pytest
 
+import stampcover
 from stampcover import (
     Basis,
+    Generation,
+    MinStampTable,
     brute_force_cover,
     cover,
     cover_profile,
@@ -104,6 +107,11 @@ def test_bool_elements_are_rejected():
     for elements in [(True, 2), (1, True), (1, 2, False)]:
         with pytest.raises(InvalidBasisError):
             Basis(elements)
+
+
+def test_empty_basis_is_rejected():
+    with pytest.raises(InvalidBasisError, match="^a basis needs at least one element$"):
+        Basis(())
 
 
 def test_element_must_fit_64_bits():
@@ -204,6 +212,28 @@ def test_generation_rejects_out_of_range():
         table.generation(-1, 5)
 
 
+def test_generation_rejects_negative_or_miscounted_coefficients():
+    with pytest.raises(ValueError, match="^coefficients must be non-negative$"):
+        Generation((-1, 2), 5, 1)  # the weight matches the sum
+    with pytest.raises(ValueError, match=r"^weight 4 does not match coefficients \(2, 1\)$"):
+        Generation((2, 1), 5, 4)
+
+
+def test_generation_refuses_an_inconsistent_table():
+    # claims 4 is one stamp of 1,3, but neither 3 nor 1 steps down to 0 stamps
+    skewed = MinStampTable(parse_basis("1,3"), 4, (0, 1, 2, 1, 1))
+    with pytest.raises(AssertionError, match="^minimal-stamp table is inconsistent$"):
+        skewed.generation(4, 4)
+
+
+def test_find_generation_rejects_negative_value_or_budget():
+    basis = parse_basis("1,3")
+    with pytest.raises(ValueError, match="^x must be non-negative, got -1$"):
+        find_generation(basis, -1, 3)
+    with pytest.raises(ValueError, match="^h must be at least 1, got 0$"):
+        find_generation(basis, 2, 0)
+
+
 def test_find_generation_zero_and_small():
     basis = parse_basis("1,3,6,10")
     zero = find_generation(basis, 0, 3)
@@ -235,6 +265,10 @@ def test_cover_golden_values():
 def test_cover_rejects_non_positive_budget():
     with pytest.raises(ValueError):
         cover(parse_basis("1,3"), 0)
+    with pytest.raises(ValueError, match="^h_max must be at least 1, got 0$"):
+        cover_profile(parse_basis("1,3"), 0)
+    with pytest.raises(ValueError, match="^h must be at least 1, got 0$"):
+        brute_force_cover(parse_basis("1,3"), 0)
 
 
 def test_cover_matches_brute_force_small_box():
@@ -327,3 +361,25 @@ def test_generation_soundness_invariant():
         assert sum(c * a for c, a in zip(gen.coefficients, basis.elements)) == x
         assert gen.weight <= h
         assert gen.weight == table.min_stamps[x]
+
+
+# ---------- public names ----------
+
+# the package's public names: attributes of stampcover, all bound by import *
+PUBLIC_NAMES = (
+    "Basis", "BasisReport", "CoverProfile", "DEFAULT_H1_CAP", "ExtremalResult",
+    "Generation", "MinStampTable", "ScanFailure", "ScanSpec", "ScanSummary",
+    "analyze", "brute_force_cover", "compute_h0", "compute_h1", "cover",
+    "cover_profile", "differences", "enumerate_all_bases", "enumerate_symmetric",
+    "errors", "family_a10", "family_a5", "family_a9", "find_generation",
+    "is_symmetric", "meure_applicable", "min_stamp_table", "parse_basis",
+    "reflect_generation", "run_scan", "scan_conjecture", "search_extremal",
+    "symmetrize_even", "symmetrize_odd",
+)
+
+
+def test_public_names_are_attributes_and_star_imported():
+    namespace = {}
+    exec("from stampcover import *", namespace)
+    for name in PUBLIC_NAMES:
+        assert namespace[name] is getattr(stampcover, name), name

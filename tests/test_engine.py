@@ -392,6 +392,19 @@ def _sigma(basis: Basis) -> int:
     return max((g[r] + g[top - r] - 2 for r in range(1, top)), default=0)
 
 
+def test_reflection_ceiling_reads_each_pair_once():
+    # g(r) + g(top - r) is the same for r and top - r, so reading r <= top/2
+    # must give the full-range max on every symmetric basis of the (7, 40) box
+    box = [basis for k in range(1, 8) for basis in enumerate_symmetric(k, 40)]
+    assert len(box) == 2510
+    assert {Basis((1,)), Basis((1, 2)), Basis((1, 2, 3))} <= set(box)
+    for basis in box:
+        stamps = core._h0_stamps(basis)
+        top = basis.top
+        full = max((stamps[r] + stamps[top - r] for r in range(1, top)), default=2) - 2
+        assert analysis._reflection_ceiling(stamps) == full, basis
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """Count table builds and sweeps through the bindings the benchmark probe rebinds."""

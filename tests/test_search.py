@@ -124,6 +124,19 @@ def test_scan_records_failures_and_continues(monkeypatch):
     }
     found = [str(r.basis) for r in results if isinstance(r, BasisReport) and r.h1 is not None]
     assert found == ["1,2,3,4", "1,2,4,5", "1,3,4,5", "1,3,5,6"]
+    for record in (r.to_json_dict() for r in results):
+        assert search._dumps(record) == json.dumps(record, separators=(",", ":"))
+
+
+def test_dumps_is_compact_json_dumps():
+    # quotes, backslashes and non-ASCII text, escaped as json.dumps escapes them
+    payload = {"basis": 'say "1,2"', "path": "C:\\tmp\\x", "note": "σ ≤ h0 — ü", "n": [1, None]}
+    assert search._dumps(payload) == json.dumps(payload, separators=(",", ":"))
+
+
+def test_scan_refuses_fewer_than_one_thread():
+    with pytest.raises(ValueError, match="^threads must be at least 1, got 0$"):
+        list(scan_conjecture(ScanSpec(k=3, ak_max=8), threads=0))
 
 
 def test_scan_threads_do_not_change_results():
@@ -325,10 +338,11 @@ def test_resume_enumerates_the_box_once(tmp_path, monkeypatch):
     assert calls == [(4, 14)] and len(drawn) == reference.scanned
 
 
-def test_resume_of_a_finished_file_does_not_hold_it(tmp_path):
+def test_resume_of_a_finished_file_does_not_hold_it(tmp_path, k9_top40_scan):
     spec = ScanSpec(k=9, ak_max=40)
+    data, reference = k9_top40_scan
     out = tmp_path / "done.jsonl"
-    reference = run_scan(spec, str(out))
+    out.write_bytes(data)
     size = out.stat().st_size
     tracemalloc.start()
     try:
@@ -337,6 +351,7 @@ def test_resume_of_a_finished_file_does_not_hold_it(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < size / 10
+    assert out.read_bytes() == data
 
 
 def test_resume_truncates_torn_final_line(tmp_path):
