@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 a scan worker died, 2 invalid input, 3 a
 64-bit or table limit was exceeded, 4 no saturating budget within the
 cap, 5 a scan found counterexamples, 6 a search box was refused as too
-large, 130 interrupted.
+large, 130 interrupted, 141 stdout was closed before the answer was
+written.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -41,6 +43,7 @@ EXIT_NO_H1 = 4
 EXIT_COUNTEREXAMPLE = 5
 EXIT_TOO_LARGE = 6
 EXIT_INTERRUPTED = 130  # the shell's code for a run stopped by SIGINT
+EXIT_STDOUT_CLOSED = 141  # the shell's code for a writer stopped by SIGPIPE
 
 _FAMILIES = {"a5": family_a5, "a9": family_a9, "a10": family_a10}
 _BASIS_FILE_NOTE = "; --basis-file always writes JSONL and ignores it"
@@ -340,7 +343,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout:  # None when the command started without an fd 1
+            sys.stdout.flush()  # a reader that is gone must fail here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # the reader is gone, which is not invalid input; point fd 1 at
+        # devnull so that the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
     except (InvalidBasisError, BadParameterError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}", EXIT_INVALID)
     except OverflowLimitError as exc:
@@ -356,4 +367,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    status = main()
+    # Shutdown's collections would walk every object still alive only to
+    # free memory the OS takes back anyway; freezing puts them out of reach.
+    # After main, so that scan pool workers fork from an unchanged heap.
+    gc.freeze()
+    raise SystemExit(status)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -813,3 +814,95 @@ def test_startup_does_not_import_the_process_pool():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == A9_TEXT + "\n"
     assert proc.stderr == "exit=0 loaded=[]\n"
+
+
+# ---------- shutdown ----------
+
+
+def test_module_run_freezes_the_heap_once_main_returns():
+    wrapper = _UNUSED_MODULES_WRAPPER + (
+        "import gc\nprint(f'frozen={gc.get_freeze_count() > 0}', file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, "family", "--kind", "a9", "--p", "3",
+         "--format", "table"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == A9_TEXT + "\n"
+    assert proc.stderr == "exit=0 loaded=[]\nfrozen=True\n"
+
+
+def test_entry_freezes_the_heap_after_main_and_exits_with_its_code(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 4)
+    # the real freeze would keep this test process's objects from the collector
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 4
+    assert calls == ["main", "freeze"]
+
+
+def test_pooled_scan_command_leaves_no_worker_behind(tmp_path):
+    reference = tmp_path / "serial.jsonl"
+    search.run_scan(search.ScanSpec(k=9, ak_max=28), str(reference))
+    out = tmp_path / "pooled.jsonl"
+    with subprocess.Popen(
+        [sys.executable, "-m", "stampcover", "scan", "--k", "9", "--ak-max", "28",
+         "--threads", "2", "--out", str(out)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+        start_new_session=True,
+    ) as proc:
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert proc.returncode == 5, err
+    assert out.read_bytes() == reference.read_bytes()
+    # the command led its own process group; a worker still in it is a leak
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    else:
+        pytest.fail("a scan worker outlived the command")
+
+
+def test_closed_stdout_exits_141_without_a_message():
+    with subprocess.Popen(
+        [sys.executable, "-m", "stampcover", "cover", "--basis", "1,3,16", "--h",
+         "20000", "--profile", "--format", "table"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    ) as proc:
+        try:
+            assert proc.stdout.readline() == b"basis = 1,3,16\n"
+            proc.stdout.close()  # like `| head -1`
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+
+
+def test_commands_run_without_a_stdout(tmp_path):
+    # the shell's `>&-`: the child starts with no fd 1, so sys.stdout is None
+    out = tmp_path / "k3.jsonl"
+    for args in (["scan", "--k", "3", "--ak-max", "12", "--out", str(out)],
+                 ["cover", "--basis", "1,3", "--h", "2", "--format", "jsonl"]):
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "stampcover", *args],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=_child_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+    assert proc.stderr == ""
+    assert out.read_bytes().endswith(b'{"summary":{"scanned":10,"counterexamples":0}}\n')
