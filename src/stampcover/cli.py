@@ -14,8 +14,7 @@ import gc
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable
-from functools import partial
+from collections.abc import Iterable
 
 from .analysis import DEFAULT_H1_CAP, analyze
 from .core import Basis, cover, cover_profile, parse_basis
@@ -52,25 +51,13 @@ _BASIS_FILE_NOTE = "; --basis-file always writes JSONL and ignores it"
 # ---------- rendering ----------
 
 
-def _pick_format(requested: str | None) -> str:
-    if requested:
-        return requested
-    return "table" if sys.stdout.isatty() else "json"
-
-
-def _style(text: str, code: str) -> str:
-    if os.environ.get("NO_COLOR") or not sys.stdout.isatty():
-        return text
-    return f"\x1b[{code}m{text}\x1b[0m"
-
-
-def _emit(payload: dict, fmt: str, table: Callable[[dict], Iterable[str]]) -> None:
-    """Print one answer: the lines ``table(payload)`` gives, or the JSON.
+def _emit(payload: dict, fmt: str, lines: Iterable[str]) -> None:
+    """Print one answer: its table ``lines``, or the JSON of ``payload``.
 
     Every command answer reaches stdout here and nowhere else.
     """
     if fmt == "table":
-        for line in table(payload):  # one at a time: a profile can be long
+        for line in lines:  # one at a time: a profile can be long
             print(line)
     elif fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -85,9 +72,8 @@ def _profile_lines(payload: dict) -> Iterable[str]:
         yield f"h={row['h']} cover={row['cover']}{mark}"
 
 
-def _report_lines(payload: dict, cap: int) -> list[str]:
+def _report_lines(payload: dict, cap: int, colour: bool) -> Iterable[str]:
     width = max(len(key) for key in payload)
-    lines = []
     for key, value in payload.items():
         if key == "h1" and value is None:
             text = f"not found within cap {cap}"
@@ -95,18 +81,18 @@ def _report_lines(payload: dict, cap: int) -> list[str]:
             text = "true" if value else "false"
         else:
             text = str(value)
-        if key == "counterexample" and value:
-            text = _style(text, "1;31")
-        lines.append(f"{key:<{width}} = {text}")
-    return lines
+        if key == "counterexample" and value and colour:
+            text = f"\x1b[1;31m{text}\x1b[0m"
+        yield f"{key:<{width}} = {text}"
 
 
-def _extremal_lines(payload: dict) -> list[str]:
-    head = (
+def _extremal_lines(payload: dict) -> Iterable[str]:
+    yield (
         f"n_star = {payload['n_star']}  "
         f"(h={payload['h']}, k={payload['k']}, top <= {payload['ak_ceiling']})"
     )
-    return [head] + [f"  {basis}" for basis in payload["witnesses"]]
+    for basis in payload["witnesses"]:
+        yield f"  {basis}"
 
 
 # ---------- input ----------
@@ -114,7 +100,7 @@ def _extremal_lines(payload: dict) -> list[str]:
 
 def _read_basis_file(path: str) -> list[Basis]:
     bases = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -128,22 +114,18 @@ def _read_basis_file(path: str) -> list[Basis]:
     return bases
 
 
-def _inputs(args: argparse.Namespace) -> tuple[list[Basis], str]:
-    """The bases of --basis/--basis-file, validated up front, and the format.
-
-    A basis file always gives JSONL, whatever --format says.
-    """
+def _inputs(args: argparse.Namespace) -> list[Basis]:
+    """The bases of --basis/--basis-file, validated up front."""
     if args.basis_file:
-        return _read_basis_file(args.basis_file), "jsonl"
-    return [parse_basis(args.basis)], _pick_format(args.format)
+        return _read_basis_file(args.basis_file)
+    return [parse_basis(args.basis)]
 
 
 # ---------- commands ----------
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    bases, fmt = _inputs(args)
-    for basis in bases:
+    for basis in _inputs(args):
         if args.profile:
             profile = cover_profile(basis, args.h)
             first = profile.saturated_at or args.h + 1
@@ -152,28 +134,28 @@ def _cmd_cover(args: argparse.Namespace) -> int:
                 for h in range(1, args.h + 1)
             ]
             payload = {"basis": str(basis), "h_max": args.h, "rows": rows}
-            _emit(payload, fmt, _profile_lines)
+            _emit(payload, args.format, _profile_lines(payload))
         else:
             n = cover(basis, args.h)
             payload = {"basis": str(basis), "h": args.h, "cover": n}
-            _emit(payload, fmt, lambda payload: [str(payload["cover"])])
+            _emit(payload, args.format, [str(n)])
     return EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    bases, fmt = _inputs(args)
     missing = 0
-    for basis in bases:
+    for basis in _inputs(args):
         report = analyze(basis, cap=args.cap)
         missing += report.h1 is None
-        _emit(report.to_json_dict(), fmt, partial(_report_lines, cap=report.h1_cap))
+        payload = report.to_json_dict()
+        _emit(payload, args.format, _report_lines(payload, report.h1_cap, args.colour))
     return EXIT_NO_H1 if missing else EXIT_OK
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
     basis = _FAMILIES[args.kind](args.p)
     payload = {"kind": args.kind, "p": args.p, "basis": str(basis), "k": basis.k}
-    _emit(payload, _pick_format(args.format), lambda payload: [payload["basis"]])
+    _emit(payload, args.format, [payload["basis"]])
     return EXIT_OK
 
 
@@ -200,7 +182,7 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
         "n_star": result.n_star,
         "witnesses": [str(basis) for basis in result.witnesses],
     }
-    _emit(payload, _pick_format(args.format), _extremal_lines)
+    _emit(payload, args.format, _extremal_lines(payload))
     return EXIT_OK
 
 
@@ -342,15 +324,23 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the one look at stdout; a command started without an fd 1 has None
+    stdout = sys.stdout
+    tty = stdout is not None and stdout.isatty()
+    if getattr(args, "basis_file", None):
+        args.format = "jsonl"  # whatever --format says
+    elif hasattr(args, "format") and not args.format:
+        args.format = "table" if tty else "json"
+    args.colour = tty and not os.environ.get("NO_COLOR")
     try:
         status = args.func(args)
-        if sys.stdout:  # None when the command started without an fd 1
-            sys.stdout.flush()  # a reader that is gone must fail here, not at shutdown
+        if stdout is not None:
+            stdout.flush()  # a reader that is gone must fail here, not at shutdown
         return status
     except BrokenPipeError:
         # the reader is gone, which is not invalid input; point fd 1 at
         # devnull so that the interpreter's final flush cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
         return EXIT_STDOUT_CLOSED
     except (InvalidBasisError, BadParameterError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}", EXIT_INVALID)

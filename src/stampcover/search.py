@@ -61,11 +61,11 @@ def enumerate_symmetric(k: int, ak_max: int) -> Iterator[Basis]:
         return
     if k % 2:
         m = (k + 1) // 2
-        for mid in itertools.combinations(range(2, ak_max), m - 1):
-            half = (1,) + mid
-            if half[-1] + half[-2] > ak_max:
-                continue
-            yield Basis(_mirror(half, odd=True))
+        # a_{m-1} < a_m <= ak_max - a_{m-1}, so draw a_m only from there
+        for mid in itertools.combinations(range(2, (ak_max + 1) // 2), m - 2):
+            low = (1,) + mid
+            for middle in range(low[-1] + 1, ak_max - low[-1] + 1):
+                yield Basis(_mirror(low + (middle,), odd=True))
     else:
         m = k // 2
         for mid in itertools.combinations(range(2, ak_max // 2 + 1), m - 1):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import io
 import json
 import os
 import signal
@@ -410,6 +411,20 @@ def test_analyze_basis_file_exit_4_if_any_h1_missing(tmp_path, capsys):
     assert json.loads(lines[1])["h1"] is None
 
 
+def test_basis_file_with_a_byte_order_mark_or_crlf_lines(tmp_path, capsys):
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf1,3,5\n1,2\n")
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(b"1,3,5\r\n# a comment\r\n1,2\r\n")
+    for batch in (bom, crlf):
+        assert main(["cover", "--basis-file", str(batch), "--h", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            '{"basis":"1,3,5","h":2,"cover":6}\n{"basis":"1,2","h":2,"cover":4}\n',
+            "",
+        )
+
+
 def test_basis_file_error_names_the_line(tmp_path, capsys):
     batch = tmp_path / "bad.txt"
     batch.write_text("1,3\n2,4\n", encoding="utf-8")
@@ -692,8 +707,8 @@ def test_answers_reach_stdout_only_through_emit(tmp_path, monkeypatch, capsys):
     batch.write_text(GOLDEN_BASES, encoding="utf-8")
     emitted = []
 
-    def record(payload, fmt, table):
-        emitted.append(list(table(payload)))
+    def record(payload, fmt, lines):
+        emitted.append(list(lines))
 
     monkeypatch.setattr(cli, "_emit", record)
     for args, _, _ in GOLDEN:
@@ -753,15 +768,21 @@ def test_help_exits_0(capsys):
 
 
 def test_no_color_disables_ansi(monkeypatch):
-    class FakeTty:
+    class FakeTty(io.StringIO):
         def isatty(self):
             return True
 
-    monkeypatch.setattr(sys, "stdout", FakeTty())
+    def run() -> str:
+        monkeypatch.setattr(sys, "stdout", FakeTty())
+        assert main(["analyze", "--basis", A9_TEXT]) == 0  # a terminal gets a table
+        return sys.stdout.getvalue()
+
     monkeypatch.delenv("NO_COLOR", raising=False)
-    assert cli._style("x", "1;31") == "\x1b[1;31mx\x1b[0m"
+    assert "counterexample   = \x1b[1;31mtrue\x1b[0m\n" in run()
     monkeypatch.setenv("NO_COLOR", "1")
-    assert cli._style("x", "1;31") == "x"
+    plain = run()
+    assert "counterexample   = true\n" in plain
+    assert "\x1b[" not in plain
 
 
 def test_not_a_tty_means_no_ansi(capsys, monkeypatch):
@@ -893,9 +914,18 @@ def test_closed_stdout_exits_141_without_a_message():
 
 def test_commands_run_without_a_stdout(tmp_path):
     # the shell's `>&-`: the child starts with no fd 1, so sys.stdout is None
+    # without --format, and analyze's table, the command still looks at stdout
     out = tmp_path / "k3.jsonl"
-    for args in (["scan", "--k", "3", "--ak-max", "12", "--out", str(out)],
-                 ["cover", "--basis", "1,3", "--h", "2", "--format", "jsonl"]):
+    summary = "scanned=10 counterexamples=0 k=3 ak_max=12 mode=symmetric\n"
+    for args, err in (
+        (["scan", "--k", "3", "--ak-max", "12", "--out", str(out)], summary),
+        (["cover", "--basis", "1,3", "--h", "2", "--format", "jsonl"], ""),
+        (["cover", "--basis", "1,3", "--h", "2"], ""),
+        (["family", "--kind", "a9", "--p", "3"], ""),
+        (["extremal", "--h", "2", "--k", "3"], ""),
+        (["analyze", "--basis", "1,3,4"], ""),
+        (["analyze", "--basis", A9_TEXT, "--format", "table"], ""),
+    ):
         proc = subprocess.run(
             ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "stampcover", *args],
             capture_output=True,
@@ -903,6 +933,5 @@ def test_commands_run_without_a_stdout(tmp_path):
             timeout=60,
             env=_child_env(),
         )
-        assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
-    assert proc.stderr == ""
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", err), args
     assert out.read_bytes().endswith(b'{"summary":{"scanned":10,"counterexamples":0}}\n')
