@@ -187,26 +187,43 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     """Full admissibility report for one basis.
 
     h0 is the largest entry of one table ``_h0_stamps`` (as in
-    ``compute_h0``).  A symmetric basis whose ``_reflection_ceiling`` of
-    that table is at most h0 has h1 = h0 with no sweep.  Any other h1 is
-    the first saturated budget from h0 on of one ``cover_profile`` up to
-    the cap (saturation is permanent, so that is h0 or the profile's
-    ``saturated_at``).  When ``cap`` is None it defaults to the proven
+    ``compute_h0``).  When ``cap`` is None it defaults to the proven
     saturation window max(h0, 2*h0 - 2) for symmetric bases, else to
-    max(64, h0) so the search is always well defined.  An explicit cap
-    below h0 raises ValueError.  A basis with k >= 2 and
-    a_{k-1} != top - 1 never saturates (``meure_applicable``), so it gets
-    h1 None at any cap without a sweep.  No symmetric basis is among
-    them: {1} has sigma 0, and one with k >= 2 has a_{k-1} = top - 1.
-    Only a sweep that runs refuses: a non-symmetric basis that is
-    ``meure_applicable`` always sweeps, to at least 64 or the given cap,
-    so that size is refused before the table; the sweep refuses its
-    final cap itself.
+    max(64, h0) so the search is always well defined; an explicit cap
+    below h0 raises ValueError.  h1 is the first saturated budget from
+    h0 on (saturation is permanent, so that is h0 or the first budget a
+    sweep saturates at), and each basis has one proven ceiling, a budget
+    by which it saturates:
+
+    - sigma (``_reflection_ceiling`` of the h0 table) for a symmetric basis;
+    - top - 2 for any other ``meure_applicable`` basis, whose budgets from
+      max(1, top - 2) on saturate; the two agree, since such a basis has
+      top >= 5 (below);
+    - none for every other basis: with k >= 2 and a_{k-1} != top - 1 it
+      never saturates (``meure_applicable``), so h1 is None at any cap
+      with no sweep.  No symmetric basis is among them: {1} has sigma 0,
+      and one with k >= 2 has a_{k-1} = top - 1.
+
+    A ceiling <= h0 gives h1 = h0 with no sweep.  Otherwise one
+    ``cover_profile`` runs to min(cap, ceiling), so each sweep is sized
+    and refused only by budgets it can reach; one that reaches a ceiling
+    within the cap without saturating contradicts the proof and raises
+    AssertionError naming the basis.
+
+    A non-symmetric basis with a_{k-1} = top - 1 has k >= 4, since {1, 2}
+    and every {1, top - 1, top} are symmetric.  So 2 <= a_2 <= top - 2,
+    and top >= 5: top >= k, and the one such basis with k = 4 and top 4,
+    {1, 2, 3, 4}, is symmetric.  Each x <= top + 1 then takes at most
+    top - 3 stamps: x <= top - 3 takes x ones, top - 2 takes a_2 and
+    top - 2 - a_2 ones, top - 1 and top one stamp, top + 1 two.  So
+    h0 <= top - 3 < top - 2, and the sweep always runs, to at least
+    min(64 or the cap given, top - 2); that size is refused before the
+    table.  The sweep refuses its own size.
     """
     symmetric = is_symmetric(basis)
     meure = meure_applicable(basis)
     if meure and not symmetric:
-        _cover_entries(basis.top, DEFAULT_H1_CAP if cap is None else cap)
+        _cover_entries(basis.top, min(DEFAULT_H1_CAP if cap is None else cap, basis.top - 2))
     stamps = _h0_stamps(basis)
     h0 = max(stamps)
     bound = max(h0, 2 * h0 - 2)
@@ -214,12 +231,15 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
         cap = bound if symmetric else max(DEFAULT_H1_CAP, h0)
     if cap < h0:
         raise ValueError(f"cap {cap} is below the admissibility threshold {h0}")
-    if symmetric and _reflection_ceiling(stamps) <= h0:
-        saturated_at = h0
-    elif meure:
-        saturated_at = cover_profile(basis, cap).saturated_at
-    else:
+    ceiling = _reflection_ceiling(stamps) if symmetric else basis.top - 2 if meure else None
+    if ceiling is None:
         saturated_at = None
+    elif ceiling <= h0:
+        saturated_at = h0
+    else:
+        saturated_at = cover_profile(basis, min(cap, ceiling)).saturated_at
+        if saturated_at is None and ceiling <= cap:
+            raise AssertionError(f"{basis} does not saturate by its proven ceiling {ceiling}")
     h1 = None if saturated_at is None else max(h0, saturated_at)
     holds = h1 == h0
     return BasisReport(basis, symmetric, h0, h1, cap, bound, holds, symmetric and not holds)

@@ -14,14 +14,15 @@ import gc
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .analysis import DEFAULT_H1_CAP, analyze
-from .core import Basis, cover, cover_profile, parse_basis
+from .core import Basis, _integer, cover, cover_profile, parse_basis
 from .errors import (
     BadParameterError,
     InvalidBasisError,
     OverflowLimitError,
+    StampError,
     TooLargeError,
     WorkerDiedError,
 )
@@ -98,36 +99,47 @@ def _extremal_lines(payload: dict) -> Iterable[str]:
 # ---------- input ----------
 
 
-def _read_basis_file(path: str) -> list[Basis]:
+def _read_basis_file(path: str) -> list[tuple[str, Basis]]:
+    """Each basis of the file with the ``path:lineno: `` that names it."""
     bases = []
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}: "
             try:
-                bases.append(parse_basis(line))
+                bases.append((where, parse_basis(line)))
             except InvalidBasisError as exc:
-                raise InvalidBasisError(f"{path}:{lineno}: {exc}") from None
+                raise InvalidBasisError(f"{where}{exc}") from None
     if not bases:
         raise InvalidBasisError(f"{path}: no bases found")
     return bases
 
 
-def _inputs(args: argparse.Namespace) -> list[Basis]:
-    """The bases of --basis/--basis-file, validated up front."""
+def _inputs(args: argparse.Namespace) -> list[tuple[str, Basis]]:
+    """The bases of --basis/--basis-file, validated up front, each with
+    the prefix that names it in an error (empty for --basis)."""
     if args.basis_file:
         return _read_basis_file(args.basis_file)
-    return [parse_basis(args.basis)]
+    return [("", parse_basis(args.basis))]
+
+
+def _at(where: str, work: Callable, *args: object):
+    """``work(*args)``, whose refusal or invalid input names ``where`` first."""
+    try:
+        return work(*args)
+    except (StampError, ValueError) as exc:
+        raise type(exc)(f"{where}{exc}") from None
 
 
 # ---------- commands ----------
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    for basis in _inputs(args):
+    for where, basis in _inputs(args):
         if args.profile:
-            profile = cover_profile(basis, args.h)
+            profile = _at(where, cover_profile, basis, args.h)
             first = profile.saturated_at or args.h + 1
             rows = [
                 {"h": h, "cover": profile.cover(h), "saturated": h >= first}
@@ -136,7 +148,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             payload = {"basis": str(basis), "h_max": args.h, "rows": rows}
             _emit(payload, args.format, _profile_lines(payload))
         else:
-            n = cover(basis, args.h)
+            n = _at(where, cover, basis, args.h)
             payload = {"basis": str(basis), "h": args.h, "cover": n}
             _emit(payload, args.format, [str(n)])
     return EXIT_OK
@@ -144,8 +156,8 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     missing = 0
-    for basis in _inputs(args):
-        report = analyze(basis, cap=args.cap)
+    for where, basis in _inputs(args):
+        report = _at(where, analyze, basis, args.cap)
         missing += report.h1 is None
         payload = report.to_json_dict()
         _emit(payload, args.format, _report_lines(payload, report.h1_cap, args.colour))
@@ -191,7 +203,7 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = _integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 1:

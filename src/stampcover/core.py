@@ -156,10 +156,23 @@ class Basis(_Frozen):
         return ",".join(str(value) for value in self.elements)
 
 
+def _integer(text: str) -> int:
+    """``int(text)`` for an optional ``-`` and ASCII digits, else ValueError.
+
+    ``int`` alone would also read ``1_0`` as 10, ``+3`` and ``٣`` as 3, and
+    blanks around the digits.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def parse_basis(text: str) -> Basis:
     """Parse comma-separated denominations like ``"1,3,5"`` into a Basis.
 
-    Whitespace around commas is ignored.  Raises InvalidBasisError (or a
+    Whitespace around commas is ignored; each element is an optional ``-``
+    and ASCII digits (``_integer``).  Raises InvalidBasisError (or a
     subclass naming the specific defect) on anything else.
     """
     if text is None or not text.strip():
@@ -170,7 +183,7 @@ def parse_basis(text: str) -> Basis:
         if not token:
             raise InvalidBasisError(f"empty field in basis text {text!r}")
         try:
-            values.append(int(token))
+            values.append(_integer(token))
         except ValueError:
             raise InvalidBasisError(
                 f"{token!r} is not an integer"

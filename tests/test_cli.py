@@ -432,6 +432,30 @@ def test_basis_file_error_names_the_line(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+def test_basis_file_errors_past_parsing_name_the_line(tmp_path, capsys):
+    # line 4 holds h0 = 4 and a sweep the default cap sizes at 320000002 entries
+    batch = tmp_path / "bases.txt"
+    batch.write_text("1,3,5\n# a comment\n\n1,3,10\n1,3,4999999,5000000\n", encoding="utf-8")
+    assert main(["analyze", "--basis-file", str(batch), "--cap", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1
+    assert err == f"error: {batch}:4: cap 3 is below the admissibility threshold 4\n"
+    batch.write_text("1,3,5\n1,3,4999999,5000000\n", encoding="utf-8")
+    assert main(["analyze", "--basis-file", str(batch)]) == 3
+    message = "cover sweep would need 320000002 entries, limit is 16777216"
+    assert capsys.readouterr().err == f"error: OverflowLimitError: {batch}:2: {message}\n"
+    assert main(["cover", "--basis-file", str(batch), "--h", "8", "--profile"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: OverflowLimitError: {batch}:2: cover sweep would need 40000002 entries,"
+        " limit is 16777216\n"
+    )
+    # a single --basis keeps its bare message
+    assert main(["analyze", "--basis", "1,3,10", "--cap", "3"]) == 2
+    assert capsys.readouterr().err == "error: cap 3 is below the admissibility threshold 4\n"
+    assert main(["analyze", "--basis", "1,3,4999999,5000000"]) == 3
+    assert capsys.readouterr().err == f"error: OverflowLimitError: {message}\n"
+
+
 def test_basis_file_must_not_be_empty(tmp_path, capsys):
     batch = tmp_path / "empty.txt"
     batch.write_text("# nothing here\n", encoding="utf-8")
@@ -747,6 +771,17 @@ def test_argparse_usage_errors_exit_2(capsys):
     assert main(["nonsense"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_integer_options_read_only_ascii_digits(capsys):
+    # int() alone would read 1_0 as 10, +3 and the Arabic-Indic three as 3
+    for text in ["1_0", "+3", "\u0663", " 3"]:
+        assert main(["cover", "--basis", "1,3", "--h", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: stampcover cover ")
+        assert err.endswith(f"\nstampcover cover: error: argument --h: {text!r} is not an integer\n")
+    assert main(["cover", "--basis", "1,3", "--h", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["cover"] == 28
 
 
 def test_basis_and_basis_file_are_exclusive(tmp_path, capsys):

@@ -95,6 +95,19 @@ def test_parse_rejects_garbage():
             parse_basis(text)
 
 
+def test_parse_reads_only_ascii_digits():
+    # int() alone would read each of these as an integer
+    for token in ["2_5", "+3", "\u0663", "\uff13", "1_000"]:
+        with pytest.raises(InvalidBasisError) as excinfo:
+            parse_basis(f"1,{token}")
+        assert type(excinfo.value) is InvalidBasisError
+        assert str(excinfo.value) == f"{token!r} is not an integer"
+    # a sign still reaches the check that names it, and blanks around commas are fine
+    with pytest.raises(NonPositiveError):
+        parse_basis("1,-2")
+    assert parse_basis("\t1 ,\t007 ").elements == (1, 7)
+
+
 def test_validation_errors_are_value_errors():
     # callers that only care about "bad input" can catch ValueError
     for text in ["2,3", "1,3,3", "1,0"]:

@@ -504,7 +504,7 @@ def test_a_short_cut_basis_is_not_refused_a_sweep_it_skips(monkeypatch, capsys, 
 
 
 def test_a_sure_sweep_is_refused_before_the_h0_table(monkeypatch, capsys, counted):
-    # non-symmetric and a_{k-1} = top - 1: it sweeps to at least 64
+    # non-symmetric and a_{k-1} = top - 1: it sweeps to min(64, top - 2)
     basis = Basis((1, 3, 4999999, 5000000))
     assert meure_applicable(basis) and not is_symmetric(basis)
     message = "cover sweep would need 320000002 entries, limit is 16777216"
@@ -517,9 +517,73 @@ def test_a_sure_sweep_is_refused_before_the_h0_table(monkeypatch, capsys, counte
     # an explicit cap is refused the same way, and cap 0 is not read as 64
     with pytest.raises(OverflowLimitError, match="1000000000002 entries"):
         analyze(basis, 200000)
-    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 64 * 5 + 1)
-    with pytest.raises(OverflowLimitError, match="322 entries, limit is 321"):
+    # at top 5 the sweep stops by its ceiling 3, not at 64
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 3 * 5 + 1)
+    with pytest.raises(OverflowLimitError, match="17 entries, limit is 16"):
         analyze(Basis((1, 3, 4, 5)))
     with pytest.raises(ValueError, match="cap 0 is below"):
         analyze(Basis((1, 3, 4, 5)), 0)
     assert counted == {"tables": 1, "sweeps": 0}
+
+
+# ---------- the proven ceiling ----------
+
+
+def _symmetric_or_meure_bases():
+    """Symmetric bases with tops up to 300, and bases with a_{k-1} = top - 1 up to 201."""
+    rest = st.sets(st.integers(2, 199), min_size=2, max_size=5)
+    meure = rest.map(lambda r: Basis((1, *sorted(r), max(r) + 1)))
+    return st.one_of(_wide_symmetric_bases(), meure)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(basis=_symmetric_or_meure_bases(), extra=st.one_of(st.none(), st.integers(0, 8)))
+def test_a_sweep_to_the_proven_ceiling_saturates(basis, extra):
+    # sigma by layers of sums, not the table analyze reads it off
+    ceiling = _sigma(basis) if is_symmetric(basis) else basis.top - 2
+    assert meure_applicable(basis)
+    assert cover_profile(basis, max(1, ceiling)).saturated_at is not None, basis
+    cap = None if extra is None else compute_h0(basis) + extra
+    report = analyze(basis, cap)
+    assert (report.h0, report.h1, report.h1_cap) == _swept_thresholds(basis, cap)
+
+
+def test_a_sweep_that_misses_its_proven_ceiling_is_refused(monkeypatch):
+    basis = family_a9(5)  # h1 = 6 = sigma, so its sweep runs to 6 exactly
+    assert (analyze(basis).h1, _sigma(basis)) == (6, 6)
+    profile_real = analysis.cover_profile
+
+    def late(basis, h_max):  # saturates one budget later, or not by h_max
+        covers = profile_real(basis, h_max).covers
+        return core.CoverProfile(basis, h_max, (covers + covers[-1:])[:h_max])
+
+    def never(basis, h_max):
+        return core.CoverProfile(basis, h_max, tuple(range(1, h_max + 1)))
+
+    monkeypatch.setattr(analysis, "cover_profile", late)
+    with pytest.raises(AssertionError) as excinfo:
+        analyze(basis)
+    assert str(excinfo.value) == f"{basis} does not saturate by its proven ceiling 6"
+    assert analyze(basis, 5).h1 is None  # a cap below the ceiling proves nothing
+    monkeypatch.setattr(analysis, "cover_profile", never)
+    with pytest.raises(AssertionError, match="^1,2,5,6 does not saturate by its proven ceiling 4$"):
+        analyze(Basis((1, 2, 5, 6)))
+
+
+def test_a_sweep_is_sized_by_its_ceiling_not_its_cap(monkeypatch, capsys):
+    # each exited 3 when its sweep was sized by the cap: a9(5) at
+    # (2 * 5 - 2) * 59 + 2 = 474 entries, 1,2,5,6 at 64 * 6 + 2 = 386;
+    # sigma = 6 and top - 2 = 4 size them at 356 and 26
+    assert analyze(Basis((1, 2, 5, 6)), 10_000_000).h1 == 3
+    cases = [(family_a9(5), 6 * 59 + 2, 6), (Basis((1, 2, 5, 6)), 4 * 6 + 2, 3)]
+    for basis, entries, h1 in cases:
+        monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", entries)
+        assert main(["analyze", "--basis", str(basis), "--format", "jsonl"]) == 0
+        out, err = capsys.readouterr()
+        assert (json.loads(out)["h1"], err) == (h1, "")
+        monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", entries - 1)
+        assert main(["analyze", "--basis", str(basis)]) == 3
+        assert capsys.readouterr() == ("", (
+            f"error: OverflowLimitError: cover sweep would need {entries} entries,"
+            f" limit is {entries - 1}\n"
+        ))

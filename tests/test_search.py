@@ -110,9 +110,9 @@ def test_scan_flags_the_known_counterexample():
 
 
 def test_scan_records_failures_and_continues(monkeypatch):
-    # only a non-symmetric basis with a_{k-1} = top - 1 sweeps, to cap 64:
-    # at top 6 that needs 386 entries, past a limit of 322
-    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 64 * 5 + 2)
+    # only a non-symmetric basis with a_{k-1} = top - 1 sweeps, to its
+    # ceiling top - 2: at top 6 that needs 26 entries, past a limit of 25
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 4 * 6 + 1)
     results = list(scan_conjecture(ScanSpec(k=4, ak_max=6, mode="all")))
     assert [type(r) for r in results] == (
         [BasisReport] * 5 + [ScanFailure] + [BasisReport] * 3 + [ScanFailure]
@@ -120,7 +120,7 @@ def test_scan_records_failures_and_continues(monkeypatch):
     failures = [r for r in results if isinstance(r, ScanFailure)]
     assert [str(r.basis) for r in failures] == ["1,2,5,6", "1,4,5,6"]
     assert {r.error for r in failures} == {
-        "OverflowLimitError: cover sweep would need 386 entries, limit is 322"
+        "OverflowLimitError: cover sweep would need 26 entries, limit is 25"
     }
     found = [str(r.basis) for r in results if isinstance(r, BasisReport) and r.h1 is not None]
     assert found == ["1,2,3,4", "1,2,4,5", "1,3,4,5", "1,3,5,6"]
