@@ -218,11 +218,22 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     top - 2 - a_2 ones, top - 1 and top one stamp, top + 1 two.  So
     h0 <= top - 3 < top - 2, and the sweep always runs, to at least
     min(64 or the cap given, top - 2); that size is refused before the
-    table.  The sweep refuses its own size.
+    table.  The sweep refuses its own size.  A cap given below the gap
+    floor L = max over i of ceil((a_{i+1} - 1) / a_i) raises ValueError
+    before that refusal, since L <= h0: x = a_{i+1} - 1 <= top + 1 is below
+    a_{i+1}, so each generation of x uses only elements <= a_i and takes
+    at least ceil(x / a_i) stamps.  A cap in L..h0 - 1 is still refused
+    by size.
     """
     symmetric = is_symmetric(basis)
     meure = meure_applicable(basis)
     if meure and not symmetric:
+        elems = basis.elements
+        floor = max(-(-(right - 1) // left) for left, right in zip(elems, elems[1:]))
+        if cap is not None and cap < floor:
+            raise ValueError(
+                f"cap {cap} is below the admissibility threshold, which is at least {floor}"
+            )
         _cover_entries(basis.top, min(DEFAULT_H1_CAP if cap is None else cap, basis.top - 2))
     stamps = _h0_stamps(basis)
     h0 = max(stamps)

@@ -55,13 +55,15 @@ _BASIS_FILE_NOTE = "; --basis-file always writes JSONL and ignores it"
 def _emit(payload: dict, fmt: str, lines: Iterable[str]) -> None:
     """Print one answer: its table ``lines``, or the JSON of ``payload``.
 
-    Every command answer reaches stdout here and nowhere else.
+    Every command answer reaches stdout here and nowhere else.  A payload
+    value may be a generator, read once: the table prints each of its lines
+    as it is made, and JSON writes it as a list.
     """
     if fmt == "table":
         for line in lines:  # one at a time: a profile can be long
             print(line)
     elif fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, default=list))
     else:
         print(_dumps(payload))
 
@@ -99,19 +101,23 @@ def _extremal_lines(payload: dict) -> Iterable[str]:
 # ---------- input ----------
 
 
+def _at(where: str, work: Callable, *args: object):
+    """``work(*args)``, whose refusal or invalid input names ``where`` first."""
+    try:
+        return work(*args)
+    except (StampError, ValueError) as exc:
+        raise type(exc)(f"{where}{exc}") from None
+
+
 def _read_basis_file(path: str) -> list[tuple[str, Basis]]:
     """Each basis of the file with the ``path:lineno: `` that names it."""
     bases = []
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}: "
-            try:
-                bases.append((where, parse_basis(line)))
-            except InvalidBasisError as exc:
-                raise InvalidBasisError(f"{where}{exc}") from None
+            if line:
+                where = f"{path}:{lineno}: "
+                bases.append((where, _at(where, parse_basis, line)))
     if not bases:
         raise InvalidBasisError(f"{path}: no bases found")
     return bases
@@ -125,14 +131,6 @@ def _inputs(args: argparse.Namespace) -> list[tuple[str, Basis]]:
     return [("", parse_basis(args.basis))]
 
 
-def _at(where: str, work: Callable, *args: object):
-    """``work(*args)``, whose refusal or invalid input names ``where`` first."""
-    try:
-        return work(*args)
-    except (StampError, ValueError) as exc:
-        raise type(exc)(f"{where}{exc}") from None
-
-
 # ---------- commands ----------
 
 
@@ -141,10 +139,10 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         if args.profile:
             profile = _at(where, cover_profile, basis, args.h)
             first = profile.saturated_at or args.h + 1
-            rows = [
+            rows = (
                 {"h": h, "cover": profile.cover(h), "saturated": h >= first}
                 for h in range(1, args.h + 1)
-            ]
+            )
             payload = {"basis": str(basis), "h_max": args.h, "rows": rows}
             _emit(payload, args.format, _profile_lines(payload))
         else:
@@ -187,13 +185,7 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
     result = search_extremal(
         args.h, args.k, args.ak_ceiling, max_candidates=args.max_candidates
     )
-    payload = {
-        "h": result.h,
-        "k": result.k,
-        "ak_ceiling": result.ak_ceiling,
-        "n_star": result.n_star,
-        "witnesses": [str(basis) for basis in result.witnesses],
-    }
+    payload = {**result._asdict(), "witnesses": [str(basis) for basis in result.witnesses]}
     _emit(payload, args.format, _extremal_lines(payload))
     return EXIT_OK
 
@@ -363,7 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_INVALID)
     except KeyboardInterrupt:
-        return _fail("interrupted (rerun with --resume)", EXIT_INTERRUPTED)
+        hint = " (rerun with --resume)" if args.command == "scan" else ""
+        return _fail(f"interrupted{hint}", EXIT_INTERRUPTED)
     except WorkerDiedError:
         return _fail("a scan worker died (rerun with --resume)", EXIT_WORKER_DIED)
 

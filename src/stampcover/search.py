@@ -161,8 +161,9 @@ def scan_conjecture(
 # ---------- persistence ----------
 
 
-# json.dumps caches only its default encoder, so keep the compact one here
-_dumps = json.JSONEncoder(separators=(",", ":")).encode
+# json.dumps caches only its default encoder, so keep the compact one here;
+# like ``cli._emit``'s, it writes a generator (a profile's rows) as a list
+_dumps = json.JSONEncoder(separators=(",", ":"), default=list).encode
 
 
 def _is_counterexample(record: dict) -> bool:

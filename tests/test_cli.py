@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -81,6 +82,22 @@ def test_cover_profile_json(capsys):
         {"h": 2, "cover": 4, "saturated": False},
         {"h": 3, "cover": 23, "saturated": False},
     ]
+
+
+def test_cover_profile_table_prints_each_row_as_it_is_made(monkeypatch):
+    # holding 20000 row dicts before the first line takes over 5 MB
+    with open(os.devnull, "w", encoding="utf-8") as null:
+        monkeypatch.setattr(sys, "stdout", null)
+        tracemalloc.start()
+        try:
+            code = main(
+                ["cover", "--basis", "1,2", "--h", "20000", "--profile", "--format", "table"]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
 
 
 # ---------- analyze ----------
@@ -235,6 +252,15 @@ def test_interrupted_scan_exits_130_and_resumes(tmp_path, monkeypatch, capsys):
     assert len(out.read_bytes().splitlines()) == 3
     assert main(args + [str(out), "--resume"]) == 0
     assert out.read_bytes() == reference.read_bytes()
+
+
+def test_interrupted_command_without_resume_gets_no_resume_hint(monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "search_extremal", interrupted)
+    assert main(["extremal", "--h", "2", "--k", "3"]) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
 
 
 def test_scan_resume_refuses_another_box(tmp_path, capsys):
@@ -430,6 +456,27 @@ def test_basis_file_error_names_the_line(tmp_path, capsys):
     batch.write_text("1,3\n2,4\n", encoding="utf-8")
     assert main(["cover", "--basis-file", str(batch), "--h", "2"]) == 2
     assert ":2:" in capsys.readouterr().err
+
+
+def test_basis_file_parse_errors_keep_their_class_and_line(tmp_path, capsys):
+    batch = tmp_path / "bad.txt"
+    batch.write_text("1,3\n# a comment\n1,3,0\n", encoding="utf-8")
+    assert main(["analyze", "--basis-file", str(batch)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: NonPositiveError: {batch}:3: element 0 is not positive\n"
+    )
+
+
+def test_basis_file_64_bit_element_names_its_line(tmp_path, capsys):
+    # refused while parsing, with the exit code of a limit, not of bad input
+    batch = tmp_path / "wide.txt"
+    batch.write_text("1,2\n1,18446744073709551616\n", encoding="utf-8")
+    assert main(["cover", "--basis-file", str(batch), "--h", "2"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        f"error: OverflowLimitError: {batch}:2: element 18446744073709551616"
+        " does not fit in 64 bits\n",
+    )
 
 
 def test_basis_file_errors_past_parsing_name_the_line(tmp_path, capsys):

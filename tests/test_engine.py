@@ -514,16 +514,34 @@ def test_a_sure_sweep_is_refused_before_the_h0_table(monkeypatch, capsys, counte
     assert main(["analyze", "--basis", str(basis)]) == 3
     assert capsys.readouterr() == ("", f"error: OverflowLimitError: {message}\n")
     assert counted == {"tables": 0, "sweeps": 0}
-    # an explicit cap is refused the same way, and cap 0 is not read as 64
-    with pytest.raises(OverflowLimitError, match="1000000000002 entries"):
-        analyze(basis, 200000)
+    # an explicit cap from the gap floor 1666666 on is refused the same way,
+    # and cap 0 is not read as 64
+    with pytest.raises(OverflowLimitError, match="10000000000002 entries"):
+        analyze(basis, 2000000)
     # at top 5 the sweep stops by its ceiling 3, not at 64
     monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 3 * 5 + 1)
     with pytest.raises(OverflowLimitError, match="17 entries, limit is 16"):
         analyze(Basis((1, 3, 4, 5)))
     with pytest.raises(ValueError, match="cap 0 is below"):
         analyze(Basis((1, 3, 4, 5)), 0)
-    assert counted == {"tables": 1, "sweeps": 0}
+    assert counted == {"tables": 0, "sweeps": 0}
+
+
+def test_a_cap_below_the_gap_floor_is_invalid_before_any_sweep(capsys, counted):
+    # 4999998 takes 1666666 threes, so h0 >= 1666666 and no cap below it can hold
+    basis = Basis((1, 3, 4999999, 5000000))
+    message = "cap 5 is below the admissibility threshold, which is at least 1666666"
+    with pytest.raises(ValueError) as excinfo:
+        analyze(basis, 5)
+    assert str(excinfo.value) == message
+    assert main(["analyze", "--basis", str(basis), "--cap", "5"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(ValueError, match="at least 1666666"):
+        analyze(basis, 1666665)
+    # from the floor on, a cap below h0 is refused by the sweep's size
+    with pytest.raises(OverflowLimitError, match="8333330000002 entries"):
+        analyze(basis, 1666666)
+    assert counted == {"tables": 0, "sweeps": 0}
 
 
 # ---------- the proven ceiling ----------

@@ -5,6 +5,8 @@ tree on ``PYTHONPATH``.  A case differs when its stdout, stderr, exit
 code or ``--out`` bytes differ between the trees.  The cases are:
 
 - the ``GOLDEN`` commands of ``tests/test_cli.py``, with its ``BASES`` file;
+- the ``ERRORS`` commands: refusals and invalid input, each well under a
+  second, two of them on the ``BAD_FILES`` basis files;
 - ``analyze --basis-file`` on the analyze-batch files of seeds 1..N
   (``bench/workloads.batch_bases``);
 - serial scans of the boxes (9,40), (5,25, --mode all), (4,280), (7,60)
@@ -34,6 +36,16 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCANS = [(9, 40, "symmetric"), (5, 25, "all"), (4, 280, "symmetric"), (7, 60, "symmetric"),
          (10, 50, "symmetric")]
+BAD_FILES = {"NONPOSITIVE": "1,3\n1,3,0\n", "WIDE": "1,2\n1,18446744073709551616\n"}
+ERRORS = [
+    "analyze --basis 1,3,4999999,5000000",
+    "analyze --basis 1,3,4999999,5000000 --cap 5",
+    "cover --basis 1,9223372036854775808 --h 2",
+    "analyze --basis 1,3,0",
+    "extremal --h 2 --k 1100",
+    "analyze --basis-file NONPOSITIVE",
+    "cover --basis-file WIDE --h 2",
+]
 
 
 def _golden() -> tuple[str, list[str]]:
@@ -51,10 +63,12 @@ def _golden() -> tuple[str, list[str]]:
 def _cases(tmp: pathlib.Path, seeds: int) -> list[list[str]]:
     """The argument list of every case, its input files written under ``tmp``."""
     bases, golden = _golden()
-    (tmp / "bases.txt").write_text(bases, encoding="utf-8")
+    files = {"BASES": bases, **BAD_FILES}
+    for name, text in files.items():
+        (tmp / f"{name}.txt").write_text(text, encoding="utf-8")
     cases = [
-        [str(tmp / "bases.txt") if arg == "BASES" else arg for arg in args.split()]
-        for args in golden
+        [str(tmp / f"{arg}.txt") if arg in files else arg for arg in args.split()]
+        for args in golden + ERRORS
     ]
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import batch_bases
