@@ -14,7 +14,8 @@ from __future__ import annotations
 from operator import add
 
 from .core import Basis, Generation, _cover_entries, _Frozen, _h0_stamps
-# compute_h0 is unused here, but bench/probe.py traces analysis.compute_h0
+# compute_h0 is not called here: the package re-exports it from this module,
+# and bench/probe.py traces analysis.compute_h0
 from .core import compute_h0, cover_profile
 from .errors import (
     NotSymmetricError,

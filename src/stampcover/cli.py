@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 from .analysis import DEFAULT_H1_CAP, analyze
 from .core import Basis, _integer, cover, cover_profile, parse_basis
@@ -30,7 +31,6 @@ from .families import family_a5, family_a9, family_a10
 from .search import (
     DEFAULT_EXTREMAL_CEILING,
     ScanSpec,
-    _dumps,
     run_scan,
     search_extremal,
 )
@@ -52,20 +52,38 @@ _BASIS_FILE_NOTE = "; --basis-file always writes JSONL and ignores it"
 # ---------- rendering ----------
 
 
+class _Streamed(list):
+    """A JSON array whose items are made as the encoder reads them.
+
+    It holds only the first, so that the encoder sees it nonempty, and
+    yields the rest from ``__iter__``, which ``iterencode`` reads.
+    """
+
+    def __init__(self, items: Iterable) -> None:
+        self._rest = iter(items)
+        super().__init__(itertools.islice(self._rest, 1))
+
+    def __iter__(self) -> Iterator:
+        return itertools.chain(list.__iter__(self), self._rest)
+
+
 def _emit(payload: dict, fmt: str, lines: Iterable[str]) -> None:
     """Print one answer: its table ``lines``, or the JSON of ``payload``.
 
-    Every command answer reaches stdout here and nowhere else.  A payload
-    value may be a generator, read once: the table prints each of its lines
-    as it is made, and JSON writes it as a list.
+    Every command answer reaches stdout here and nowhere else, as it is
+    made: a payload value may be a generator (a profile's rows, which can
+    be long), read once.  Both forms print at most 1,024 lines or JSON
+    chunks at a time, so neither holds a long answer nor makes one write
+    per chunk (each is a system call when Python runs unbuffered).
     """
     if fmt == "table":
-        for line in lines:  # one at a time: a profile can be long
-            print(line)
-    elif fmt == "json":
-        print(json.dumps(payload, indent=2, default=list))
+        chunks = (f"{line}\n" for line in lines)
     else:
-        print(_dumps(payload))
+        style = {"indent": 2} if fmt == "json" else {"separators": (",", ":")}
+        encoder = json.JSONEncoder(**style, default=_Streamed)
+        chunks = itertools.chain(encoder.iterencode(payload), "\n")
+    for batch in iter(lambda: "".join(itertools.islice(chunks, 1024)), ""):
+        print(batch, end="")  # print writes nothing when started without an fd 1
 
 
 def _profile_lines(payload: dict) -> Iterable[str]:

@@ -41,15 +41,17 @@ DEFAULT_ENUMERATION_CEILING = 10**8
 
 def _check_size(
     size: int, what: str = "table", unit: str = "entries", per_entry: int = 1
-) -> None:
-    """Refuse ``size`` units past ``per_entry`` per entry of DEFAULT_TABLE_LIMIT.
+) -> int:
+    """``size``, refused past ``per_entry`` units per entry of DEFAULT_TABLE_LIMIT.
 
     Every table, sweep and level refusal words its OverflowLimitError here,
-    before anything of that size is allocated.
+    before anything of that size is allocated; a caller may allocate what
+    it returns.
     """
     limit = per_entry * DEFAULT_TABLE_LIMIT
     if size > limit:
         raise OverflowLimitError(f"{what} would need {size} {unit}, limit is {limit}")
+    return size
 
 
 # ---------- values ----------
@@ -256,9 +258,8 @@ def min_stamp_table(basis: Basis, bound: int) -> MinStampTable:
     """
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
-    _check_size(bound + 1)
     steps = basis.elements[1:]
-    stamps = [0] * (bound + 1)
+    stamps = [0] * _check_size(bound + 1)
     for x in range(1, bound + 1):
         best = stamps[x - 1]  # one stamp of value 1
         for step in steps:
@@ -316,18 +317,12 @@ class CoverProfile(_Frozen):
 def _cover_entries(top: int, h: int) -> int:
     """The h * top + 2 entries a cover sweep up to budget h stands for, or refuse.
 
-    OverflowLimitError when h * top + 1, the first value no budget-h
-    generation reaches, does not fit in 64 bits, then when the entries
-    pass DEFAULT_TABLE_LIMIT.  A sweep (``cover_profile``), the sweep
-    ``analyze`` is sure to run, and each extremal prefix refuse here.
+    OverflowLimitError when they pass DEFAULT_TABLE_LIMIT, which also
+    keeps h * top + 1, the first value no budget-h generation reaches,
+    within 64 bits.  A sweep (``cover_profile``), the sweep ``analyze``
+    is sure to run, and each extremal box refuse here.
     """
-    bound = h * top + 1
-    if bound > MAX_ELEMENT:
-        raise OverflowLimitError(
-            f"h * top + 1 = {bound} does not fit in 64 bits"
-        )
-    _check_size(bound + 1, "cover sweep")
-    return bound + 1
+    return _check_size(h * top + 2, "cover sweep")
 
 
 def _reach_cover(reach: int) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from collections.abc import Iterator
 
@@ -161,9 +162,8 @@ def scan_conjecture(
 # ---------- persistence ----------
 
 
-# json.dumps caches only its default encoder, so keep the compact one here;
-# like ``cli._emit``'s, it writes a generator (a profile's rows) as a list
-_dumps = json.JSONEncoder(separators=(",", ":"), default=list).encode
+# json.dumps caches only its default encoder, so keep the compact one here
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _is_counterexample(record: dict) -> bool:
@@ -305,33 +305,38 @@ def search_extremal(
     builds a table: each witness, and the (k - 1)-prefix a derived
     ceiling comes from, is certified once by ``cover``.
 
-    Before anything is built for it, the ``max_candidates`` + 1-th
-    prefix raises TooLargeError, and a prefix whose h * top + 1 passes
-    64 bits, whose h * top + 2 sweep entries pass the table limit,
-    or (k > 1) whose h + 1 levels pass 64 bits per entry of that limit
-    (only h >= 64 can) raises OverflowLimitError.  The first two are the
-    refusals of the sweep ``cover`` runs (``_cover_entries``): checked
-    on every top the search visits, they ensure that certifying a
-    witness or the (k - 1)-prefix with ``cover`` cannot refuse after the
-    search.
+    Every top the search visits is at most T = min(C(h + k - 1, k - 1),
+    ``ak_ceiling``): the root's is 1, and a j-prefix of cover n (j < k)
+    is extended by at most n + 1, where n <= C(h + j, j) - 1, since each
+    value in 1..n is the sum of a nonempty multiset of at most h of its
+    j elements and there are C(h + j, j) - 1 of those; and
+    C(h + j, j) <= C(h + k - 1, k - 1).  So the box is sized once,
+    before its first prefix: OverflowLimitError when T's sweep of
+    h * T + 2 entries passes the table limit (``_cover_entries``), or
+    (k > 1) when its h + 1 levels pass 64 bits per entry of that limit.
+    That sweep is the largest ``cover`` runs to certify a witness or
+    the (k - 1)-prefix, so neither can refuse after the search.  The
+    prefix 1, 2, ..., k is always visited, so its sweep is sized first:
+    past it the refusal is certain, and within it h * k <= 2^24, so
+    C(h + k - 1, k - 1) takes milliseconds, where h = k = 10^6 would
+    take half a minute.  The ``max_candidates`` + 1-th prefix raises
+    TooLargeError before anything is built for it.
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
     # a derived ceiling always fits: k - 1 elements cover at least k - 1
     _check_box(k, k if ak_ceiling is None else ak_ceiling, "ak_ceiling")
+    _cover_entries(k, h)  # the prefix 1, ..., k, sized first so that comb stays small
+    entries = _cover_entries(min(math.comb(h + k - 1, k - 1), ak_ceiling or math.inf), h)
+    if k > 1:
+        _check_size((h + 1) * entries, "levels", "bits", per_entry=64)
     visits = itertools.count(1)
-    best, found, checked = -1, [], 0
+    best, found = -1, []
     head, head_cover = (), 0  # first best (k - 1)-prefix; the empty one covers 0
 
-    def admit(top: int) -> None:
-        nonlocal checked
+    def admit() -> None:
         if next(visits) > max_candidates:
             raise TooLargeError(f"h={h}, k={k}: more than {max_candidates} prefixes")
-        if top > checked:  # sizes grow with top: one at or below a passed top passes
-            entries = _cover_entries(top, h)
-            if k > 1:
-                _check_size((h + 1) * entries, "levels", "bits", per_entry=64)
-            checked = top
 
     stack = []  # one frame per open prefix, so no Python frame per slot
 
@@ -345,7 +350,7 @@ def search_extremal(
         cap = n + 1 if ak_ceiling is None else min(n + 1, ak_ceiling - slots + 1)
         stack.append((prefix, levels[1:], slots, iter(range(prefix[-1] + 1, cap + 1))))
 
-    admit(1)
+    admit()
     if k == 1:
         best, found = h, [(1,)]  # one stamp value reaches exactly 1..h
     else:
@@ -353,7 +358,7 @@ def search_extremal(
     while stack:
         prefix, upper, slots, nexts = stack[-1]
         for nxt in nexts:
-            admit(nxt)
+            admit()
             if slots > 1:
                 child = [1]
                 for level in upper:

@@ -84,14 +84,16 @@ def test_cover_profile_json(capsys):
     ]
 
 
-def test_cover_profile_table_prints_each_row_as_it_is_made(monkeypatch):
-    # holding 20000 row dicts before the first line takes over 5 MB
+@pytest.mark.parametrize("fmt", ["table", "json", "jsonl"])
+def test_cover_profile_prints_each_row_as_it_is_made(monkeypatch, fmt):
+    # holding 20000 row dicts before the first line takes over 5 MB, and
+    # the JSON text of them about 8 MiB (jsonl) to 16 MiB (json)
     with open(os.devnull, "w", encoding="utf-8") as null:
         monkeypatch.setattr(sys, "stdout", null)
         tracemalloc.start()
         try:
             code = main(
-                ["cover", "--basis", "1,2", "--h", "20000", "--profile", "--format", "table"]
+                ["cover", "--basis", "1,2", "--h", "20000", "--profile", "--format", fmt]
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:

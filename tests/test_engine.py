@@ -33,6 +33,7 @@ from stampcover import (
     min_stamp_table,
     reflect_generation,
     run_scan,
+    search_extremal,
     symmetrize_even,
     symmetrize_odd,
 )
@@ -291,9 +292,12 @@ def test_refusals_fire_before_a_sweep_that_would_saturate_at_once():
     assert str(excinfo.value) == (
         "cover sweep would need 16777218 entries, limit is 16777216"
     )
+    # h * top + 1 past 64 bits is far past the entry limit, which says so
     with pytest.raises(OverflowLimitError) as excinfo:
         cover_profile(basis, 2**63)
-    assert "64 bits" in str(excinfo.value)
+    assert str(excinfo.value) == (
+        "cover sweep would need 18446744073709551618 entries, limit is 16777216"
+    )
 
 
 def test_sweep_refuses_beyond_the_limit_in_table_entries(monkeypatch):
@@ -307,9 +311,36 @@ def test_sweep_refuses_beyond_the_limit_in_table_entries(monkeypatch):
 
 
 def test_sweep_refuses_values_beyond_64_bits():
+    # h * top + 1 = 2**64 + 1: refused as the entries it stands for
     with pytest.raises(OverflowLimitError) as excinfo:
         cover_profile(Basis((1, 2**63)), 2)
-    assert "64 bits" in str(excinfo.value)
+    assert str(excinfo.value) == (
+        "cover sweep would need 18446744073709551618 entries, limit is 16777216"
+    )
+
+
+@pytest.mark.parametrize(
+    ("refused", "what", "size", "unit", "per_entry"),
+    [
+        (lambda: min_stamp_table(Basis((1, 2)), 2**24), "table", 2**24 + 1, "entries", 1),
+        (lambda: compute_h0(Basis((1, 2**24 - 1))), "table", 2**24 + 1, "entries", 1),
+        (lambda: cover_profile(Basis((1, 2)), 2**23), "cover sweep", 2**24 + 2, "entries", 1),
+        (lambda: cover_profile(Basis((1, 2**63)), 2), "cover sweep", 2**64 + 2, "entries", 1),
+        # the prefix 1, ..., k: 2**23 * 2 + 2 entries
+        (lambda: search_extremal(2**23, 2), "cover sweep", 2**24 + 2, "entries", 1),
+        # the box bound T = C(5001, 2) = 12502500
+        (lambda: search_extremal(2, 5000), "cover sweep", 2 * 12502500 + 2, "entries", 1),
+        # T = C(3001, 1): 3001 levels of 3000 * 3001 + 2 entries
+        (lambda: search_extremal(3000, 2), "levels", 3001 * 9003002, "bits", 64),
+    ],
+    ids=["table", "h0-table", "sweep", "sweep-64-bit", "extremal-k", "extremal-box",
+         "extremal-levels"],
+)
+def test_each_size_refusal_names_its_unit(refused, what, size, unit, per_entry):
+    with pytest.raises(OverflowLimitError) as excinfo:
+        refused()
+    limit = per_entry * core.DEFAULT_TABLE_LIMIT
+    assert str(excinfo.value) == f"{what} would need {size} {unit}, limit is {limit}"
 
 
 def test_h0_table_refuses_beyond_the_limit():

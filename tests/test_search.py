@@ -673,35 +673,47 @@ def test_extremal_default_budget_answers_three_six():
     assert result.n_star == 52
 
 
-def test_extremal_table_limit_refuses_at_the_same_node(monkeypatch):
-    # the first prefix whose sweep of h * top + 2 entries passes 40 has top 13
+def test_extremal_table_limit_refuses_before_the_first_prefix(monkeypatch):
+    # every top of the box is at most T = min(C(3 + 3, 3), 16) = 16, so its
+    # sweeps need at most 3 * 16 + 2 = 50 entries: sized once, up front
+    answer = search_extremal(3, 4, 16)
     monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 40)
-    visited = []
-    with pytest.raises(OverflowLimitError) as old:
-        _table_dfs(3, 4, 16, visited)
-    assert visited[-1][-1] == 13 and len(visited) > 1
-    with pytest.raises(TooLargeError):
-        search_extremal(3, 4, 16, max_candidates=len(visited) - 1)
-    with pytest.raises(OverflowLimitError) as new:
-        search_extremal(3, 4, 16, max_candidates=len(visited))
-    assert str(new.value) == str(old.value)
-    assert str(new.value) == "cover sweep would need 41 entries, limit is 40"
+    for budget in (1, 10**6):  # refused before the root is counted
+        with pytest.raises(OverflowLimitError) as excinfo:
+            search_extremal(3, 4, 16, max_candidates=budget)
+        assert str(excinfo.value) == "cover sweep would need 50 entries, limit is 40"
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 50)
+    assert search_extremal(3, 4, 16) == answer
 
 
 def test_extremal_level_guard_fires_before_levels_are_built(monkeypatch):
     # at h >= 64 a table within the limit can still have h + 1 levels
-    # of more than 64 bits per entry of it
+    # of more than 64 bits per entry of it; T = 2 here
     monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 130)
-    with pytest.raises(TooLargeError):
-        search_extremal(64, 2, 2, max_candidates=1)  # the root (1) passes
-    with pytest.raises(OverflowLimitError, match="8450 bits, limit is 8320"):
-        search_extremal(64, 2, 2)  # (1, 2): 130 entries, 65 levels
-    # at the root: its 4,097 levels would take about 1 MB
-    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 4098)
+    for budget in (1, 10**6):  # (1, 2): 130 entries, 65 levels
+        with pytest.raises(OverflowLimitError) as excinfo:
+            search_extremal(64, 2, 2, max_candidates=budget)
+        assert str(excinfo.value) == "levels would need 8450 bits, limit is 8320"
+    # 4,097 levels of 8,194 bits would take about 4 MB
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 8194)
     tracemalloc.start()
     try:
-        with pytest.raises(OverflowLimitError, match="bits, limit is 262272"):
+        with pytest.raises(OverflowLimitError, match="bits, limit is 524416$"):
             search_extremal(4096, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize(("h", "k"), [(300, 3), (3000, 2), (10**6, 10**6)])
+def test_extremal_refuses_a_box_that_cannot_fit_before_any_prefix(h, k):
+    # sized from h, k alone: no prefix and no level is built, and
+    # (10**6, 10**6) is refused before C(h + k - 1, k - 1) is computed
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowLimitError):
+            search_extremal(h, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,6 +7,7 @@ code or ``--out`` bytes differ between the trees.  The cases are:
 - the ``GOLDEN`` commands of ``tests/test_cli.py``, with its ``BASES`` file;
 - the ``ERRORS`` commands: refusals and invalid input, each well under a
   second, two of them on the ``BAD_FILES`` basis files;
+- the ``PROFILES`` commands: a 100,000-row profile in each JSON format;
 - ``analyze --basis-file`` on the analyze-batch files of seeds 1..N
   (``bench/workloads.batch_bases``);
 - serial scans of the boxes (9,40), (5,25, --mode all), (4,280), (7,60)
@@ -43,8 +44,13 @@ ERRORS = [
     "cover --basis 1,9223372036854775808 --h 2",
     "analyze --basis 1,3,0",
     "extremal --h 2 --k 1100",
+    "extremal --h 3000 --k 2",
     "analyze --basis-file NONPOSITIVE",
     "cover --basis-file WIDE --h 2",
+]
+PROFILES = [
+    "cover --basis 1,2 --h 100000 --profile --format json",
+    "cover --basis 1,2 --h 100000 --profile --format jsonl",
 ]
 
 
@@ -68,7 +74,7 @@ def _cases(tmp: pathlib.Path, seeds: int) -> list[list[str]]:
         (tmp / f"{name}.txt").write_text(text, encoding="utf-8")
     cases = [
         [str(tmp / f"{arg}.txt") if arg in files else arg for arg in args.split()]
-        for args in golden + ERRORS
+        for args in golden + ERRORS + PROFILES
     ]
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import batch_bases
