@@ -389,22 +389,28 @@ def cover_profile(basis: Basis, h_max: int) -> CoverProfile:
     read.  Saturation is permanent (if 1..h*top is reachable, adding top
     reaches the rest of 1..(h+1)*top), so the sweep stops at the first
     saturated budget and the profile answers g * top from there on.
-    Refuses when h_max * top + 2, the entries of the table the sweep
-    stands for, pass the limit (``_cover_entries``), before any shift.
+    A paired basis (a_{k-1} = top - 1) saturates by max(1, top - 2)
+    (``meure_applicable``), so its sweep is sized and run to
+    min(h_max, max(1, top - 2)), and one that reaches that budget below
+    h_max unsaturated contradicts the proof and raises AssertionError
+    naming the basis; every other sweep is sized by h_max.  Refuses when
+    budget * top + 2, the entries of the table the sweep stands for,
+    pass the limit (``_cover_entries``), before any shift.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
     elems = basis.elements
     top = elems[-1]
-    _cover_entries(top, h_max)
     paired = len(elems) > 1 and elems[-2] == top - 1
+    budget = min(h_max, max(1, top - 2)) if paired else h_max
+    _cover_entries(top, budget)
     mids = elems[1:-2] if paired else elems[1:-1]
     last = top - 1 if paired else top
     low = (1 << 2 * top + 2) - 1
     reach = 1  # only 0, with no stamps
     base = 0
     covers = []
-    for h in range(1, h_max + 1):
+    for h in range(1, budget + 1):
         pair = reach | reach << 1
         grown = pair | (pair if paired else reach) << last
         for step in mids:
@@ -421,6 +427,8 @@ def cover_profile(basis: Basis, h_max: int) -> CoverProfile:
         if drop > 0:
             reach >>= drop
             base += drop
+    if len(covers) == budget < h_max:
+        raise AssertionError(f"{basis} does not saturate by its proven ceiling {budget}")
     return CoverProfile(basis, h_max, tuple(covers))
 
 

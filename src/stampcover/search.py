@@ -306,10 +306,10 @@ def search_extremal(
     ceiling comes from, is certified once by ``cover``.
 
     Every top the search visits is at most T = min(C(h + k - 1, k - 1),
-    ``ak_ceiling``): the root's is 1, and a j-prefix of cover n (j < k)
-    is extended by at most n + 1, where n <= C(h + j, j) - 1, since each
-    value in 1..n is the sum of a nonempty multiset of at most h of its
-    j elements and there are C(h + j, j) - 1 of those; and
+    ``ak_ceiling``): the prefix (1) has top 1, and a j-prefix of cover
+    n (j < k) is extended by at most n + 1, where n <= C(h + j, j) - 1,
+    since each value in 1..n is the sum of a nonempty multiset of at most
+    h of its j elements and there are C(h + j, j) - 1 of those; and
     C(h + j, j) <= C(h + k - 1, k - 1).  So the box is sized once,
     before its first prefix: OverflowLimitError when T's sweep of
     h * T + 2 entries passes the table limit (``_cover_entries``), or
@@ -319,8 +319,22 @@ def search_extremal(
     prefix 1, 2, ..., k is always visited, so its sweep is sized first:
     past it the refusal is certain, and within it h * k <= 2^24, so
     C(h + k - 1, k - 1) takes milliseconds, where h = k = 10^6 would
-    take half a minute.  The ``max_candidates`` + 1-th prefix raises
-    TooLargeError before anything is built for it.
+    take half a minute.
+
+    The stack holds one frame per open prefix, and the root is the frame
+    of the empty prefix: every level is 1, and its one child is 1.  A
+    basis of k = 1 is answered directly, with no frame, so no budget
+    refuses it.  A frame holds its levels and free slots but no prefix:
+    the open prefix is one shared ``path``, so a witness is the path and
+    its leaf.  Each frame is opened in one place, which adds its child
+    count to the prefixes visited and raises TooLargeError when that
+    passes ``max_candidates``, before any child is built.  The set of
+    refused boxes is that of a count per prefix: every child of an
+    opened frame is visited unless the search is refused, so the running
+    count never exceeds the final total, and a search is refused exactly
+    when its total prefix count passes ``max_candidates``.  The refusal
+    comes at the frame that crosses the budget, not at the one prefix
+    that does.
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
@@ -330,40 +344,33 @@ def search_extremal(
     entries = _cover_entries(min(math.comb(h + k - 1, k - 1), ak_ceiling or math.inf), h)
     if k > 1:
         _check_size((h + 1) * entries, "levels", "bits", per_entry=64)
-    visits = itertools.count(1)
+    visits = 1  # the prefix (1,), the root's one child
     best, found = -1, []
     head, head_cover = (), 0  # first best (k - 1)-prefix; the empty one covers 0
-
-    def admit() -> None:
-        if next(visits) > max_candidates:
-            raise TooLargeError(f"h={h}, k={k}: more than {max_candidates} prefixes")
-
-    stack = []  # one frame per open prefix, so no Python frame per slot
-
-    def enter(prefix: tuple[int, ...], levels: list[int]) -> None:
-        nonlocal head, head_cover
-        n = _reach_cover(levels[h])
-        slots = k - len(prefix)
-        if slots == 1 and n > head_cover:
-            head, head_cover = prefix, n
-        # admissible next elements; a given ceiling leaves room for the other slots
-        cap = n + 1 if ak_ceiling is None else min(n + 1, ak_ceiling - slots + 1)
-        stack.append((prefix, levels[1:], slots, iter(range(prefix[-1] + 1, cap + 1))))
-
-    admit()
+    path = []  # the open prefix, one element per frame past the root
+    # one frame per open prefix, so no Python frame per slot; the root is the
+    # empty prefix: every level is 1 (only 0 is a sum), and its one child is 1
+    stack = [([1] * h, k, iter((1,)))] if k > 1 else []
     if k == 1:
         best, found = h, [(1,)]  # one stamp value reaches exactly 1..h
-    else:
-        enter((1,), [(2 << j) - 1 for j in range(h + 1)])
     while stack:
-        prefix, upper, slots, nexts = stack[-1]
+        upper, slots, nexts = stack[-1]
         for nxt in nexts:
-            admit()
             if slots > 1:
+                path.append(nxt)
                 child = [1]
                 for level in upper:
                     child.append(level | child[-1] << nxt)
-                enter(prefix + (nxt,), child)
+                n = _reach_cover(child[h])
+                if slots == 2 and n > head_cover:
+                    head, head_cover = tuple(path), n
+                # admissible next elements; a given ceiling leaves room for the other slots
+                cap = n + 1 if ak_ceiling is None else min(n + 1, ak_ceiling - slots + 2)
+                children = range(nxt + 1, cap + 1)
+                visits += len(children)
+                if visits > max_candidates:
+                    raise TooLargeError(f"h={h}, k={k}: more than {max_candidates} prefixes")
+                stack.append((child[1:], slots - 1, iter(children)))
                 break  # the child's frame runs next; this one resumes after it
             # a leaf: only its L'[h] is read, so carry one level along
             last = 1
@@ -373,9 +380,10 @@ def search_extremal(
             if leaf > best:
                 best, found = leaf, []
             if leaf == best:
-                found.append(prefix + (nxt,))
+                found.append((*path, nxt))
         else:
             stack.pop()
+            del path[-1:]  # the root's frame has no element to drop
     witnesses = tuple(map(Basis, found))
     checks = [("witness", witness, best) for witness in witnesses]
     if ak_ceiling is None:

@@ -286,17 +286,22 @@ def test_cover_refuses_a_sweep_that_saturates_one_budget_early(monkeypatch):
 
 
 def test_refusals_fire_before_a_sweep_that_would_saturate_at_once():
-    basis = Basis((1, 2))  # saturated at h = 1
+    # a paired basis (a_{k-1} = top - 1) is sized by max(1, top - 2), the
+    # budget it saturates by: 1,2 saturates at h = 1 and answers at any h_max
+    for h_max in (2**23, 2**63):
+        profile = cover_profile(Basis((1, 2)), h_max)
+        assert (profile.saturated_at, profile.cover(h_max)) == (1, 2 * h_max)
+    basis = Basis((1, 3))  # never saturates, so it is sized by h_max
     with pytest.raises(OverflowLimitError) as excinfo:
-        cover_profile(basis, 2**23)
+        cover_profile(basis, 5592405)
     assert str(excinfo.value) == (
-        "cover sweep would need 16777218 entries, limit is 16777216"
+        "cover sweep would need 16777217 entries, limit is 16777216"
     )
     # h * top + 1 past 64 bits is far past the entry limit, which says so
     with pytest.raises(OverflowLimitError) as excinfo:
         cover_profile(basis, 2**63)
     assert str(excinfo.value) == (
-        "cover sweep would need 18446744073709551618 entries, limit is 16777216"
+        "cover sweep would need 27670116110564327426 entries, limit is 16777216"
     )
 
 
@@ -324,7 +329,7 @@ def test_sweep_refuses_values_beyond_64_bits():
     [
         (lambda: min_stamp_table(Basis((1, 2)), 2**24), "table", 2**24 + 1, "entries", 1),
         (lambda: compute_h0(Basis((1, 2**24 - 1))), "table", 2**24 + 1, "entries", 1),
-        (lambda: cover_profile(Basis((1, 2)), 2**23), "cover sweep", 2**24 + 2, "entries", 1),
+        (lambda: cover_profile(Basis((1, 3)), 2**23), "cover sweep", 3 * 2**23 + 2, "entries", 1),
         (lambda: cover_profile(Basis((1, 2**63)), 2), "cover sweep", 2**64 + 2, "entries", 1),
         # the prefix 1, ..., k: 2**23 * 2 + 2 entries
         (lambda: search_extremal(2**23, 2), "cover sweep", 2**24 + 2, "entries", 1),

@@ -727,6 +727,20 @@ def test_extremal_search_deeper_than_the_recursion_limit():
     assert result.witnesses == (Basis(tuple(range(1, 1201))),)
 
 
+def test_extremal_search_holds_one_prefix():
+    # a frame per slot that kept its own prefix tuple would hold
+    # 600 * 601 / 2 element references, about 1.5 MiB; one shared path
+    # holds 600
+    tracemalloc.start()
+    try:
+        result = search_extremal(1, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_star == 600
+    assert peak < 512 * 1024
+
+
 def test_extremal_one_denomination_needs_no_levels():
     # h + 1 levels of h + 2 bits would pass the level guard
     result = search_extremal(10**6, 1)

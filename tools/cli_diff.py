@@ -8,6 +8,8 @@ code or ``--out`` bytes differ between the trees.  The cases are:
 - the ``ERRORS`` commands: refusals and invalid input, each well under a
   second, two of them on the ``BAD_FILES`` basis files;
 - the ``PROFILES`` commands: a 100,000-row profile in each JSON format;
+- the ``EDGES`` commands, at the edge of a size rule: a paired basis and
+  an unpaired one at h = 10^7, and an extremal search 1,200 slots deep;
 - ``analyze --basis-file`` on the analyze-batch files of seeds 1..N
   (``bench/workloads.batch_bases``);
 - serial scans of the boxes (9,40), (5,25, --mode all), (4,280), (7,60)
@@ -52,6 +54,11 @@ PROFILES = [
     "cover --basis 1,2 --h 100000 --profile --format json",
     "cover --basis 1,2 --h 100000 --profile --format jsonl",
 ]
+EDGES = [
+    "cover --basis 1,2 --h 10000000",
+    "cover --basis 1,3 --h 10000000",
+    "extremal --h 1 --k 1200",
+]
 
 
 def _golden() -> tuple[str, list[str]]:
@@ -74,7 +81,7 @@ def _cases(tmp: pathlib.Path, seeds: int) -> list[list[str]]:
         (tmp / f"{name}.txt").write_text(text, encoding="utf-8")
     cases = [
         [str(tmp / f"{arg}.txt") if arg in files else arg for arg in args.split()]
-        for args in golden + ERRORS + PROFILES
+        for args in golden + ERRORS + PROFILES + EDGES
     ]
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import batch_bases
