@@ -7,10 +7,13 @@ generation of any x below a_k can be reflected into a generation of
 h0 * a_k - x that uses exactly h0 stamps, which pins the saturation
 threshold h1 into the window [h0, max(h0, 2*h0 - 2)].  The table h0 is
 read off narrows that window further, most often to h1 = h0 itself.
+The same argument, with one more table for the dual basis, bounds h1
+for every basis whose two largest elements are adjacent.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import add
 
 from .core import Basis, Generation, _cover_entries, _Frozen, _h0_stamps
@@ -161,27 +164,40 @@ class BasisReport(_Frozen):
         }
 
 
-def _reflection_ceiling(stamps: tuple[int, ...]) -> int:
-    """Sigma: every budget h >= sigma saturates the symmetric basis of ``stamps``.
+def _reflection_ceiling(stamps: tuple[int, ...], dual: tuple[int, ...]) -> int:
+    """Sigma*: every budget h >= sigma* saturates the paired basis of ``stamps``.
 
-    With g(x) = stamps[x], the fewest stamps for x in 0..T+1 where T is
-    the top, sigma is the largest g(r) + g(T - r) - 2 over 1 <= r <= T - 1
-    (0 when T = 1).  The sum is the same for r and T - r, so only the
-    pairs with r <= T/2 are read, each once, from two half-length slices.
-    Proof: write x <= h*T as q*T + r with 0 <= r < T.
-    For r = 0, q <= h copies of T make x.  For r > 0, q <= h - 1, and x
-    has two generations: q copies of T and a minimal one of r, with
-    q + g(r) stamps; and the reflection (``reflect_generation``) at
-    budget q + 1 of a minimal generation of T - r, which cannot use T,
-    with q + 1 stamps, valid when g(T - r) <= q + 1.  Both fail only when
-    h - g(r) < q < g(T - r) - 1, and no q does once
-    h >= g(r) + g(T - r) - 2.  So h1 <= max(h0, sigma), and since
-    g <= h0 on 1..T-1 that is never weaker than max(h0, 2*h0 - 2); when
-    sigma <= h0, h1 = h0.
+    A basis A with top T is paired when T - 1 is in A, and its dual is
+    A* = {T - a : a in A, a < T} | {T}; A* holds 1 (from T - 1) and T - 1
+    (from 1), so it is a paired basis with top T.  ``stamps`` and ``dual``
+    are the fewest-stamp tables g of A and g* of A* on 0..T+1
+    (``_h0_stamps``), and sigma* is the largest g(r) + g*(T - r) - 2 over
+    1 <= r <= T - 1 (0 when T = 1), read pair by pair with iterators, so
+    no slice of either table is copied.
+
+    Proof: write x <= h*T as q*T + r with 0 <= r < T.  For r = 0, q <= h
+    copies of T make x.  For r > 0, q <= h - 1, and x has two generations:
+
+    - q copies of T and a minimal generation of r, with q + g(r) stamps;
+    - x = (q + 1)*T - (T - r): take q + 1 copies of T and swap
+      m = g*(T - r) of them for the elements a whose deficits T - a make a
+      minimal generation of T - r in A*.  That generation cannot use T,
+      since T - r < T, so each deficit is T - a for an a in A.  That is
+      q + 1 stamps, valid when m <= q + 1.
+
+    Both fail only when h - g(r) < q < g*(T - r) - 1, and no q does once
+    h >= g(r) + g*(T - r) - 2.  So h1 <= max(h0, sigma*), and h1 = h0 when
+    sigma* <= h0.
+
+    A symmetric basis (a_i + a_{k-i} = T) is its own dual, so it passes its
+    own table as ``dual``, and sigma* is its reflection ceiling sigma: the
+    swap is ``reflect_generation``, and since g <= h0 on 1..T-1, sigma is
+    never weaker than the window max(h0, 2*h0 - 2).  And r ones make r, and
+    T - r ones make T - r in A*, so g(r) <= r, g*(T - r) <= T - r and
+    sigma* <= T - 2: never weaker than ``meure_applicable``'s bound.
     """
     top = len(stamps) - 2
-    half = top // 2 + 1
-    return max(map(add, stamps[1:half], stamps[top - 1:top - half:-1]), default=2) - 2
+    return max(map(add, islice(stamps, 1, top), islice(reversed(dual), 2, None)), default=2) - 2
 
 
 def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
@@ -193,49 +209,39 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     max(64, h0) so the search is always well defined; an explicit cap
     below h0 raises ValueError.  h1 is the first saturated budget from
     h0 on (saturation is permanent, so that is h0 or the first budget a
-    sweep saturates at), and each basis has one proven ceiling, a budget
-    by which it saturates:
-
-    - sigma (``_reflection_ceiling`` of the h0 table) for a symmetric basis;
-    - top - 2 for any other ``meure_applicable`` basis, whose budgets from
-      max(1, top - 2) on saturate; the two agree, since such a basis has
-      top >= 5 (below);
-    - none for every other basis: with k >= 2 and a_{k-1} != top - 1 it
-      never saturates (``meure_applicable``), so h1 is None at any cap
-      with no sweep.  No symmetric basis is among them: {1} has sigma 0,
-      and one with k >= 2 has a_{k-1} = top - 1.
-
-    A ceiling <= h0 gives h1 = h0 with no sweep.  Otherwise one
+    sweep saturates at).  A symmetric or paired basis has one proven
+    ceiling, sigma* (``_reflection_ceiling`` of its table and its dual's;
+    a symmetric basis is its own dual and builds one table, and {1} has
+    sigma* 0).  Every other basis has k >= 2 and a_{k-1} != top - 1, so it
+    never saturates (``meure_applicable``), and h1 is None at any cap with
+    no sweep.  A ceiling <= h0 gives h1 = h0 with no sweep.  Otherwise one
     ``cover_profile`` runs to min(cap, ceiling), so each sweep is sized
     and refused only by budgets it can reach; one that reaches a ceiling
     within the cap without saturating contradicts the proof and raises
     AssertionError naming the basis.
 
-    A non-symmetric basis with a_{k-1} = top - 1 has k >= 4, since {1, 2}
-    and every {1, top - 1, top} are symmetric.  So 2 <= a_2 <= top - 2,
-    and top >= 5: top >= k, and the one such basis with k = 4 and top 4,
-    {1, 2, 3, 4}, is symmetric.  Each x <= top + 1 then takes at most
-    top - 3 stamps: x <= top - 3 takes x ones, top - 2 takes a_2 and
-    top - 2 - a_2 ones, top - 1 and top one stamp, top + 1 two.  So
-    h0 <= top - 3 < top - 2, and the sweep always runs, to at least
-    min(64 or the cap given, top - 2); that size is refused before the
-    table.  The sweep refuses its own size.  A cap given below the gap
-    floor L = max over i of ceil((a_{i+1} - 1) / a_i) raises ValueError
-    before that refusal, since L <= h0: x = a_{i+1} - 1 <= top + 1 is below
+    Before its tables, a non-symmetric paired basis is refused by the size
+    of a sweep to min(64 or the cap given, top - 2), a bound on work not
+    yet known, so that no refusal waits for two tables.  Since
+    sigma* <= top - 2, the sweep it then runs is no larger, unless the
+    default cap rose to h0 > 64; that sweep refuses its own size.
+    A cap given below the gap floor L = max over i of
+    ceil((a_{i+1} - 1) / a_i) raises ValueError before that refusal,
+    since L <= h0: x = a_{i+1} - 1 <= top + 1 is below
     a_{i+1}, so each generation of x uses only elements <= a_i and takes
     at least ceil(x / a_i) stamps.  A cap in L..h0 - 1 is still refused
     by size.
     """
     symmetric = is_symmetric(basis)
     meure = meure_applicable(basis)
+    elems, top = basis.elements, basis.top
     if meure and not symmetric:
-        elems = basis.elements
         floor = max(-(-(right - 1) // left) for left, right in zip(elems, elems[1:]))
         if cap is not None and cap < floor:
             raise ValueError(
                 f"cap {cap} is below the admissibility threshold, which is at least {floor}"
             )
-        _cover_entries(basis.top, min(DEFAULT_H1_CAP if cap is None else cap, basis.top - 2))
+        _cover_entries(top, min(DEFAULT_H1_CAP if cap is None else cap, top - 2))
     stamps = _h0_stamps(basis)
     h0 = max(stamps)
     bound = max(h0, 2 * h0 - 2)
@@ -243,13 +249,15 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
         cap = bound if symmetric else max(DEFAULT_H1_CAP, h0)
     if cap < h0:
         raise ValueError(f"cap {cap} is below the admissibility threshold {h0}")
-    ceiling = _reflection_ceiling(stamps) if symmetric else basis.top - 2 if meure else None
-    if ceiling is None:
-        saturated_at = None
-    elif ceiling <= h0:
+    saturated_at = None
+    if symmetric or meure:
+        dual = stamps
+        if not symmetric:  # A* = {top - a : a in A, a < top} | {top}
+            dual = _h0_stamps(Basis(tuple(top - a for a in reversed(elems[:-1])) + (top,)))
+        ceiling = _reflection_ceiling(stamps, dual)
         saturated_at = h0
-    else:
-        saturated_at = cover_profile(basis, min(cap, ceiling)).saturated_at
+        if ceiling > h0:
+            saturated_at = cover_profile(basis, min(cap, ceiling)).saturated_at
         if saturated_at is None and ceiling <= cap:
             raise AssertionError(f"{basis} does not saturate by its proven ceiling {ceiling}")
     h1 = None if saturated_at is None else max(h0, saturated_at)
@@ -262,15 +270,12 @@ def meure_applicable(basis: Basis) -> bool:
 
     For k >= 2 these are exactly the bases that saturate at some budget.
     If a_{k-1} = T - 1 for the top T, every budget h >= max(1, T - 2)
-    saturates: write x <= h*T as q*T + r with 0 <= r < T.  For r = 0, q
-    copies of T make x.  For r > 0, q < h; when q + 1 >= T - r, T - r
-    copies of T - 1 and q + 1 - (T - r) of T make x with q + 1 <= h
-    stamps, and otherwise q copies of T and r ones make it with
-    q + r <= T - 2 stamps.  Conversely, if k >= 2 (so T >= 2) and budget h
-    saturates, h*T - 1 is reachable, and h - 1 stamps reach at most
-    (h-1)*T < h*T - 1, so it is a sum of exactly h stamps whose shortfalls
-    from T add up to 1: T - 1 is an element, and it is the largest below
-    T.  ``analyze`` therefore sweeps no other basis with k >= 2.  The
+    saturates, since sigma* <= T - 2 (``_reflection_ceiling``).
+    Conversely, if k >= 2 (so T >= 2) and budget h saturates, h*T - 1 is
+    reachable, and h - 1 stamps reach at most (h-1)*T < h*T - 1, so it is
+    a sum of exactly h stamps whose shortfalls from T add up to 1: T - 1
+    is an element, and it is the largest below T.  ``analyze`` therefore
+    sweeps no other basis with k >= 2.  The
     one-element basis {1} saturates at h = 1 but is not counted here.
     Every symmetric basis with at least two elements qualifies, because
     a_{k-1} = a_k - a_1.

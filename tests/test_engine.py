@@ -421,24 +421,72 @@ def _fewest_stamps(basis: Basis, bound: int) -> list[int]:
     return [need[x] for x in range(bound + 1)]
 
 
-def _sigma(basis: Basis) -> int:
-    """max over 1 <= r < top of g(r) + g(top - r) - 2; 0 for the basis {1}."""
+def _dual(basis: Basis) -> Basis:
+    """{top - a : a in the basis, a < top} together with top itself."""
     top = basis.top
+    return Basis(tuple(sorted({top - a for a in basis.elements if a < top} | {top})))
+
+
+def _sigma(basis: Basis) -> int:
+    """sigma*: max over 1 <= r < top of g(r) + g*(top - r) - 2; 0 for the basis {1}.
+
+    g and g* come by layers of sums from the basis and its dual; a
+    symmetric basis is its own dual, so this is its sigma.
+    """
+    top = basis.top
+    dual = _dual(basis)
     g = _fewest_stamps(basis, top)
-    return max((g[r] + g[top - r] - 2 for r in range(1, top)), default=0)
+    g_dual = g if dual == basis else _fewest_stamps(dual, top)
+    return max((g[r] + g_dual[top - r] - 2 for r in range(1, top)), default=0)
 
 
-def test_reflection_ceiling_reads_each_pair_once():
-    # g(r) + g(top - r) is the same for r and top - r, so reading r <= top/2
-    # must give the full-range max on every symmetric basis of the (7, 40) box
+def _paired_box(ks: range, top_max: int):
+    """Every non-symmetric basis with a_{k-1} = top - 1, k in ``ks`` and top <= top_max."""
+    for k in ks:
+        for top in range(k, top_max + 1):
+            for mid in itertools.combinations(range(2, top - 1), k - 3):
+                basis = Basis((1, *mid, top - 1, top))
+                if not is_symmetric(basis):
+                    yield basis
+
+
+def _check_paired_box(ks: range, top_max: int) -> tuple[int, int, int]:
+    """(bases, sigma* <= h0, h1 = max(h0, sigma*)) over ``_paired_box``, checking each.
+
+    sigma* comes by layers (``_sigma``), h1 from a sweep to Meure's bound
+    top - 2, and neither from the tables ``analyze`` reads sigma* off.
+    """
+    total = short = exact = 0
+    for basis in _paired_box(ks, top_max):
+        top = basis.top
+        sigma = _sigma(basis)
+        tables = core._h0_stamps(basis), core._h0_stamps(_dual(basis))
+        assert analysis._reflection_ceiling(*tables) == sigma, basis
+        h0 = max(tables[0])
+        h1 = max(h0, cover_profile(basis, top - 2).saturated_at)
+        assert h1 <= max(h0, sigma) <= top - 2, basis
+        total += 1
+        short += sigma <= h0
+        exact += h1 == max(h0, sigma)
+    return total, short, exact
+
+
+def test_reflection_ceiling_bounds_h1_on_every_small_paired_basis():
+    # the dual's table bounds h1 on every paired basis, not only the symmetric ones
+    assert _check_paired_box(range(4, 7), 22) == (6030, 2583, 4810)
+    # a symmetric basis is its own dual, and sigma* off its one table is sigma
     box = [basis for k in range(1, 8) for basis in enumerate_symmetric(k, 40)]
     assert len(box) == 2510
     assert {Basis((1,)), Basis((1, 2)), Basis((1, 2, 3))} <= set(box)
     for basis in box:
+        assert _dual(basis) == basis
         stamps = core._h0_stamps(basis)
-        top = basis.top
-        full = max((stamps[r] + stamps[top - r] for r in range(1, top)), default=2) - 2
-        assert analysis._reflection_ceiling(stamps) == full, basis
+        assert analysis._reflection_ceiling(stamps, stamps) == _sigma(basis), basis
+
+
+@pytest.mark.slow
+def test_reflection_ceiling_bounds_h1_on_a_wider_paired_box():
+    assert _check_paired_box(range(4, 9), 18) == (14616, 8034, 13232)
 
 
 @pytest.fixture
@@ -593,9 +641,9 @@ def _symmetric_or_meure_bases():
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(basis=_symmetric_or_meure_bases(), extra=st.one_of(st.none(), st.integers(0, 8)))
 def test_a_sweep_to_the_proven_ceiling_saturates(basis, extra):
-    # sigma by layers of sums, not the table analyze reads it off
-    ceiling = _sigma(basis) if is_symmetric(basis) else basis.top - 2
-    assert meure_applicable(basis)
+    # sigma* by layers of sums, not the tables analyze reads it off
+    ceiling = _sigma(basis)
+    assert meure_applicable(basis) and ceiling <= basis.top - 2
     assert cover_profile(basis, max(1, ceiling)).saturated_at is not None, basis
     cap = None if extra is None else compute_h0(basis) + extra
     report = analyze(basis, cap)
@@ -619,15 +667,20 @@ def test_a_sweep_that_misses_its_proven_ceiling_is_refused(monkeypatch):
         analyze(basis)
     assert str(excinfo.value) == f"{basis} does not saturate by its proven ceiling 6"
     assert analyze(basis, 5).h1 is None  # a cap below the ceiling proves nothing
+    # not symmetric: h0 = 3, h1 = sigma* = 5; skewed late it saturates at
+    # 6 = top - 2, which a ceiling of top - 2 would let pass
+    with pytest.raises(AssertionError, match="^1,2,7,8 does not saturate by its proven ceiling 5$"):
+        analyze(Basis((1, 2, 7, 8)))
     monkeypatch.setattr(analysis, "cover_profile", never)
-    with pytest.raises(AssertionError, match="^1,2,5,6 does not saturate by its proven ceiling 4$"):
+    with pytest.raises(AssertionError, match="^1,2,5,6 does not saturate by its proven ceiling 3$"):
         analyze(Basis((1, 2, 5, 6)))
 
 
 def test_a_sweep_is_sized_by_its_ceiling_not_its_cap(monkeypatch, capsys):
     # each exited 3 when its sweep was sized by the cap: a9(5) at
     # (2 * 5 - 2) * 59 + 2 = 474 entries, 1,2,5,6 at 64 * 6 + 2 = 386;
-    # sigma = 6 and top - 2 = 4 size them at 356 and 26
+    # sigma = 6 sizes a9(5) at 356, and 1,2,5,6, which sweeps to
+    # sigma* = 3, is refused before its tables at top - 2 = 4, 26 entries
     assert analyze(Basis((1, 2, 5, 6)), 10_000_000).h1 == 3
     cases = [(family_a9(5), 6 * 59 + 2, 6), (Basis((1, 2, 5, 6)), 4 * 6 + 2, 3)]
     for basis, entries, h1 in cases:

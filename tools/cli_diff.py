@@ -9,7 +9,10 @@ code or ``--out`` bytes differ between the trees.  The cases are:
   second, two of them on the ``BAD_FILES`` basis files;
 - the ``PROFILES`` commands: a 100,000-row profile in each JSON format;
 - the ``EDGES`` commands, at the edge of a size rule: a paired basis and
-  an unpaired one at h = 10^7, and an extremal search 1,200 slots deep;
+  an unpaired one at h = 10^7, an extremal search 1,200 slots deep, and
+  two paired bases whose ``analyze`` sweep the reflection ceiling sigma*
+  cuts: one with sigma* = h0 = 122, which sweeps no budget, and one
+  swept to sigma* = 5, below its cap 6;
 - ``analyze --basis-file`` on the analyze-batch files of seeds 1..N
   (``bench/workloads.batch_bases``);
 - serial scans of the boxes (9,40), (5,25, --mode all), (4,280), (7,60)
@@ -58,6 +61,8 @@ EDGES = [
     "cover --basis 1,2 --h 10000000",
     "cover --basis 1,3 --h 10000000",
     "extremal --h 1 --k 1200",
+    "analyze --basis 1,123,166,167",
+    "analyze --basis 1,2,7,8 --cap 6",
 ]
 
 
