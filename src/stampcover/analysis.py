@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import islice
 from operator import add
 
-from .core import Basis, Generation, _cover_entries, _Frozen, _h0_stamps
+from .core import Basis, Generation, _cover_entries, _dual, _Frozen, _h0_stamps
 # compute_h0 is not called here: the package re-exports it from this module,
 # and bench/probe.py traces analysis.compute_h0
 from .core import compute_h0, cover_profile
@@ -46,12 +46,10 @@ def differences(basis: Basis) -> tuple[int, ...]:
 def is_symmetric(basis: Basis) -> bool:
     """True iff a_i + a_{k-i} = a_k for every 1 <= i <= k-1.
 
-    Vacuously true for the one-element basis {1}.
+    That is, iff the basis is its own dual (``core._dual``).  Vacuously
+    true for the one-element basis {1}.
     """
-    elems = basis.elements
-    k = len(elems)
-    top = elems[-1]
-    return all(elems[i] + elems[k - 2 - i] == top for i in range(k - 1))
+    return _dual(basis.elements) == basis.elements
 
 
 def _mirror(half: tuple[int, ...], odd: bool) -> tuple[int, ...]:
@@ -167,13 +165,11 @@ class BasisReport(_Frozen):
 def _reflection_ceiling(stamps: tuple[int, ...], dual: tuple[int, ...]) -> int:
     """Sigma*: every budget h >= sigma* saturates the paired basis of ``stamps``.
 
-    A basis A with top T is paired when T - 1 is in A, and its dual is
-    A* = {T - a : a in A, a < T} | {T}; A* holds 1 (from T - 1) and T - 1
-    (from 1), so it is a paired basis with top T.  ``stamps`` and ``dual``
-    are the fewest-stamp tables g of A and g* of A* on 0..T+1
-    (``_h0_stamps``), and sigma* is the largest g(r) + g*(T - r) - 2 over
-    1 <= r <= T - 1 (0 when T = 1), read pair by pair with iterators, so
-    no slice of either table is copied.
+    A basis A with top T is paired when its dual A* (``core._dual``) is a
+    basis.  ``stamps`` and ``dual`` are the fewest-stamp tables g of A and
+    g* of A* on 0..T+1 (``_h0_stamps``), and sigma* is the largest
+    g(r) + g*(T - r) - 2 over 1 <= r <= T - 1 (0 when T = 1), read pair
+    by pair with iterators, so no slice of either table is copied.
 
     Proof: write x <= h*T as q*T + r with 0 <= r < T.  For r = 0, q <= h
     copies of T make x.  For r > 0, q <= h - 1, and x has two generations:
@@ -189,12 +185,13 @@ def _reflection_ceiling(stamps: tuple[int, ...], dual: tuple[int, ...]) -> int:
     h >= g(r) + g*(T - r) - 2.  So h1 <= max(h0, sigma*), and h1 = h0 when
     sigma* <= h0.
 
-    A symmetric basis (a_i + a_{k-i} = T) is its own dual, so it passes its
-    own table as ``dual``, and sigma* is its reflection ceiling sigma: the
-    swap is ``reflect_generation``, and since g <= h0 on 1..T-1, sigma is
-    never weaker than the window max(h0, 2*h0 - 2).  And r ones make r, and
+    A symmetric basis is its own dual, so it passes its own table as
+    ``dual``, and sigma* is its reflection ceiling sigma: the swap is
+    ``reflect_generation``, and since g <= h0 on 1..T-1, sigma is never
+    weaker than the window max(h0, 2*h0 - 2).  And r ones make r, and
     T - r ones make T - r in A*, so g(r) <= r, g*(T - r) <= T - r and
-    sigma* <= T - 2: never weaker than ``meure_applicable``'s bound.
+    sigma* <= T - 2 when T >= 2.  For T = 1, sigma* = 0 is not <= T - 2:
+    {1}'s bound of 1 comes from cover(1) = 1 directly.
     """
     top = len(stamps) - 2
     return max(map(add, islice(stamps, 1, top), islice(reversed(dual), 2, None)), default=2) - 2
@@ -209,12 +206,13 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     max(64, h0) so the search is always well defined; an explicit cap
     below h0 raises ValueError.  h1 is the first saturated budget from
     h0 on (saturation is permanent, so that is h0 or the first budget a
-    sweep saturates at).  A symmetric or paired basis has one proven
-    ceiling, sigma* (``_reflection_ceiling`` of its table and its dual's;
-    a symmetric basis is its own dual and builds one table, and {1} has
-    sigma* 0).  Every other basis has k >= 2 and a_{k-1} != top - 1, so it
-    never saturates (``meure_applicable``), and h1 is None at any cap with
-    no sweep.  A ceiling <= h0 gives h1 = h0 with no sweep.  Otherwise one
+    sweep saturates at).  The dual (``core._dual``), built once, decides
+    the rest: the basis is symmetric when it is its own dual, and paired
+    when its dual is a basis.  A paired basis has one proven ceiling,
+    sigma* (``_reflection_ceiling`` of its table and its dual's; a
+    symmetric basis builds one table, and {1} has sigma* 0).  Every other
+    basis never saturates, and h1 is None at any cap with no sweep.  A
+    ceiling <= h0 gives h1 = h0 with no sweep.  Otherwise one
     ``cover_profile`` runs to min(cap, ceiling), so each sweep is sized
     and refused only by budgets it can reach; one that reaches a ceiling
     within the cap without saturating contradicts the proof and raises
@@ -232,10 +230,11 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     at least ceil(x / a_i) stamps.  A cap in L..h0 - 1 is still refused
     by size.
     """
-    symmetric = is_symmetric(basis)
-    meure = meure_applicable(basis)
     elems, top = basis.elements, basis.top
-    if meure and not symmetric:
+    dual = _dual(elems)
+    symmetric = dual == elems
+    paired = dual[0] == 1
+    if paired and not symmetric:
         floor = max(-(-(right - 1) // left) for left, right in zip(elems, elems[1:]))
         if cap is not None and cap < floor:
             raise ValueError(
@@ -250,11 +249,8 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     if cap < h0:
         raise ValueError(f"cap {cap} is below the admissibility threshold {h0}")
     saturated_at = None
-    if symmetric or meure:
-        dual = stamps
-        if not symmetric:  # A* = {top - a : a in A, a < top} | {top}
-            dual = _h0_stamps(Basis(tuple(top - a for a in reversed(elems[:-1])) + (top,)))
-        ceiling = _reflection_ceiling(stamps, dual)
+    if paired:
+        ceiling = _reflection_ceiling(stamps, stamps if symmetric else _h0_stamps(Basis(dual)))
         saturated_at = h0
         if ceiling > h0:
             saturated_at = cover_profile(basis, min(cap, ceiling)).saturated_at
@@ -268,17 +264,10 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
 def meure_applicable(basis: Basis) -> bool:
     """True iff the second-largest denomination is one below the largest.
 
-    For k >= 2 these are exactly the bases that saturate at some budget.
-    If a_{k-1} = T - 1 for the top T, every budget h >= max(1, T - 2)
-    saturates, since sigma* <= T - 2 (``_reflection_ceiling``).
-    Conversely, if k >= 2 (so T >= 2) and budget h saturates, h*T - 1 is
-    reachable, and h - 1 stamps reach at most (h-1)*T < h*T - 1, so it is
-    a sum of exactly h stamps whose shortfalls from T add up to 1: T - 1
-    is an element, and it is the largest below T.  ``analyze`` therefore
-    sweeps no other basis with k >= 2.  The
-    one-element basis {1} saturates at h = 1 but is not counted here.
-    Every symmetric basis with at least two elements qualifies, because
-    a_{k-1} = a_k - a_1.
+    These are the paired bases (``core._dual``) with k >= 2: for k >= 2,
+    exactly the bases that saturate at some budget, each by
+    max(1, top - 2).  The one-element basis {1} is paired too and
+    saturates at h = 1, but is not counted here.  Every symmetric basis
+    with at least two elements qualifies, because it is its own dual.
     """
-    elems = basis.elements
-    return len(elems) > 1 and elems[-2] == elems[-1] - 1
+    return basis.k > 1 and _dual(basis.elements)[0] == 1

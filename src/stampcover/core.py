@@ -158,6 +158,33 @@ class Basis(_Frozen):
         return ",".join(str(value) for value in self.elements)
 
 
+def _dual(elements: tuple[int, ...]) -> tuple[int, ...]:
+    """The dual A* = {T - a : a in A, a < T} | {T} of a basis A with top T.
+
+    Read from the top of A down, the deficits T - a of its elements below
+    T rise strictly from T - a_{k-1} >= 1 to T - 1, so A* is strictly
+    increasing with top T, and it is a basis exactly when it starts at 1.
+    It decides two facts about A, and no other code in the package does:
+
+    - A is symmetric (a_i + a_{k-i} = T for 1 <= i <= k - 1) exactly when
+      A* = A, since the i-th element of A* is T - a_{k-i} for i < k and
+      its last is T.
+    - A saturates at some budget (cover h * T) exactly when A* is a basis,
+      that is, when A = {1} or a_{k-1} = T - 1; such a basis is *paired*.
+      {1} saturates at budget 1, since cover(1) = 1 = T.  For k >= 2 and
+      a_{k-1} = T - 1, every budget from max(1, T - 2) on saturates,
+      since sigma* <= T - 2 (``analysis._reflection_ceiling``).
+      Conversely, if k >= 2 (so T >= 2) and budget h saturates, h*T - 1
+      is reachable, and h - 1 stamps reach at most (h - 1)*T < h*T - 1,
+      so it is a sum of exactly h stamps whose shortfalls from T add up
+      to 1: T - 1 is an element, the largest below T, and A* starts at 1.
+
+    So a paired basis saturates by max(1, T - 2), no other basis ever
+    does, and every symmetric basis is paired.
+    """
+    return tuple(elements[-1] - a for a in reversed(elements[:-1])) + elements[-1:]
+
+
 def _integer(text: str) -> int:
     """``int(text)`` for an optional ``-`` and ASCII digits, else ValueError.
 
@@ -381,16 +408,17 @@ def cover_profile(basis: Basis, h_max: int) -> CoverProfile:
     R_h = R_{h-1} | OR_a R_{h-1} << a, where bit i of ``reach`` is value
     base + i; the cover is one below the lowest clear bit.  Every value
     below n + 1 - top is reachable and a shift by a <= top carries it to
-    at most n, so the window drops those bits after each budget.  When
-    a_{k-1} = top - 1 the top pair takes one shift of R | R << 1, which the
-    step by 1 builds anyway.  The cover is read off the low 2 * top + 2
-    bits, which hold the lowest clear bit unless the cover grew by more
-    than top + 1 (as on a saturated budget); only then is all of ``reach``
-    read.  Saturation is permanent (if 1..h*top is reachable, adding top
-    reaches the rest of 1..(h+1)*top), so the sweep stops at the first
-    saturated budget and the profile answers g * top from there on.
-    A paired basis (a_{k-1} = top - 1) saturates by max(1, top - 2)
-    (``meure_applicable``), so its sweep is sized and run to
+    at most n, so the window drops those bits after each budget.  A
+    paired basis (``_dual``) holds top - 1, or is {1}, and its top pair
+    takes one shift of R | R << 1, which the step by 1 builds anyway
+    ({1}'s shift by top - 1 = 0 adds nothing).  The cover is read off
+    the low 2 * top + 2 bits, which hold the lowest clear bit unless the
+    cover grew by more than top + 1 (as on a saturated budget); only then
+    is all of ``reach`` read.  Saturation is permanent (if 1..h*top is
+    reachable, adding top reaches the rest of 1..(h+1)*top), so the sweep
+    stops at the first saturated budget and the profile answers g * top
+    from there on.  A paired basis saturates by max(1, top - 2)
+    (``_dual``), so its sweep is sized and run to
     min(h_max, max(1, top - 2)), and one that reaches that budget below
     h_max unsaturated contradicts the proof and raises AssertionError
     naming the basis; every other sweep is sized by h_max.  Refuses when
@@ -401,7 +429,7 @@ def cover_profile(basis: Basis, h_max: int) -> CoverProfile:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
     elems = basis.elements
     top = elems[-1]
-    paired = len(elems) > 1 and elems[-2] == top - 1
+    paired = _dual(elems)[0] == 1
     budget = min(h_max, max(1, top - 2)) if paired else h_max
     _cover_entries(top, budget)
     mids = elems[1:-2] if paired else elems[1:-1]

@@ -177,11 +177,12 @@ def _replay(
     """Match the records on disk against ``bases``, one line at a time.
 
     Each complete record must hold the next basis of ``bases``, and a
-    summary must end the box and agree with the records before it;
-    otherwise ValueError.  Anything from the first torn (no trailing
-    newline) or unparseable line on is what an interrupted run left.
-    Returns the records, their counterexamples, and the byte length of
-    the lines to keep, which is None when the file ends in a summary.
+    summary must end the box and the file and agree with the records
+    before it; otherwise ValueError.  Anything from the first torn (no
+    trailing newline) or unparseable line on is what an interrupted run
+    left.  Returns the records, their counterexamples, and the byte
+    length of the lines to keep, which is None when the file ends in a
+    summary.
     """
     foreign = ValueError(
         f"{out_path} does not hold a scan of the box k={spec.k} "
@@ -204,7 +205,7 @@ def _replay(
                 counterexamples += _is_counterexample(obj)
                 offset += len(line)
                 continue
-            if expected is not None:
+            if expected is not None or fh.read(1):  # a finished box ends the file
                 raise foreign
             if obj["summary"] != ScanSummary(scanned, counterexamples)._asdict():
                 raise ValueError(
@@ -233,10 +234,11 @@ def run_scan(
     enumeration, and a finished file is left untouched.  The bytes of
     run-to-completion and of any interrupt/resume sequence are identical.
     Resuming a file whose records are not the start of this box's
-    enumeration (or, once finished, the whole box), or whose summary
-    disagrees with its records, raises ValueError and leaves the file as
-    it was.  Each record depends on its basis alone, so matching every
-    basis is all a resume needs to write the same bytes.
+    enumeration (or, once finished, the whole box and nothing after its
+    summary), or whose summary disagrees with its records, raises
+    ValueError and leaves the file as it was.  Each record depends on its
+    basis alone, so matching every basis is all a resume needs to write
+    the same bytes.
     """
     bases = _candidates(spec)
     scanned = counterexamples = 0
@@ -310,21 +312,22 @@ def search_extremal(
     n (j < k) is extended by at most n + 1, where n <= C(h + j, j) - 1,
     since each value in 1..n is the sum of a nonempty multiset of at most
     h of its j elements and there are C(h + j, j) - 1 of those; and
-    C(h + j, j) <= C(h + k - 1, k - 1).  So the box is sized once,
-    before its first prefix: OverflowLimitError when T's sweep of
+    C(h + j, j) <= C(h + k - 1, k - 1).  So a box of k > 1 is sized
+    once, before its first prefix: OverflowLimitError when T's sweep of
     h * T + 2 entries passes the table limit (``_cover_entries``), or
-    (k > 1) when its h + 1 levels pass 64 bits per entry of that limit.
-    That sweep is the largest ``cover`` runs to certify a witness or
-    the (k - 1)-prefix, so neither can refuse after the search.  The
-    prefix 1, 2, ..., k is always visited, so its sweep is sized first:
-    past it the refusal is certain, and within it h * k <= 2^24, so
+    when its h + 1 levels pass 64 bits per entry of that limit.  That
+    sweep is the largest ``cover`` runs to certify a witness or the
+    (k - 1)-prefix, so neither can refuse after the search.  The prefix
+    1, 2, ..., k is always visited, so its sweep is sized first: past it
+    the refusal is certain, and within it h * k <= 2^24, so
     C(h + k - 1, k - 1) takes milliseconds, where h = k = 10^6 would
-    take half a minute.
+    take half a minute.  A box of k = 1 holds only {1}, which is
+    answered directly (n* = h) with no frame, and {1} is paired, so its
+    certifying ``cover`` sweeps one budget: no size or budget refuses it.
 
     The stack holds one frame per open prefix, and the root is the frame
     of the empty prefix: every level is 1, and its one child is 1.  A
-    basis of k = 1 is answered directly, with no frame, so no budget
-    refuses it.  A frame holds its levels and free slots but no prefix:
+    frame holds its levels and free slots but no prefix:
     the open prefix is one shared ``path``, so a witness is the path and
     its leaf.  Each frame is opened in one place, which adds its child
     count to the prefixes visited and raises TooLargeError when that
@@ -340,19 +343,19 @@ def search_extremal(
         raise ValueError(f"h must be at least 1, got {h}")
     # a derived ceiling always fits: k - 1 elements cover at least k - 1
     _check_box(k, k if ak_ceiling is None else ak_ceiling, "ak_ceiling")
-    _cover_entries(k, h)  # the prefix 1, ..., k, sized first so that comb stays small
-    entries = _cover_entries(min(math.comb(h + k - 1, k - 1), ak_ceiling or math.inf), h)
-    if k > 1:
-        _check_size((h + 1) * entries, "levels", "bits", per_entry=64)
     visits = 1  # the prefix (1,), the root's one child
-    best, found = -1, []
     head, head_cover = (), 0  # first best (k - 1)-prefix; the empty one covers 0
     path = []  # the open prefix, one element per frame past the root
-    # one frame per open prefix, so no Python frame per slot; the root is the
-    # empty prefix: every level is 1 (only 0 is a sum), and its one child is 1
-    stack = [([1] * h, k, iter((1,)))] if k > 1 else []
-    if k == 1:
-        best, found = h, [(1,)]  # one stamp value reaches exactly 1..h
+    if k > 1:
+        _cover_entries(k, h)  # the prefix 1, ..., k, sized first so that comb stays small
+        entries = _cover_entries(min(math.comb(h + k - 1, k - 1), ak_ceiling or math.inf), h)
+        _check_size((h + 1) * entries, "levels", "bits", per_entry=64)
+        best, found = -1, []
+        # one frame per open prefix, so no Python frame per slot; the root is the
+        # empty prefix: every level is 1 (only 0 is a sum), and its one child is 1
+        stack = [([1] * h, k, iter((1,)))]
+    else:  # one stamp value reaches exactly 1..h
+        best, found, stack = h, [(1,)], []
     while stack:
         upper, slots, nexts = stack[-1]
         for nxt in nexts:

@@ -177,12 +177,23 @@ def test_h1_is_none_when_the_cap_ends_before_saturation(capsys):
 def test_only_meure_bases_saturate_and_analyze_matches_a_sweep_exhaustively():
     h_max = 6
     for basis in _bases_up_to(5, 16):
+        elems, top = basis.elements, basis.top
+        below = elems[:-1]
+        assert is_symmetric(basis) == all(
+            a + b == top for a, b in zip(below, reversed(below))
+        ), basis
+        paired = basis.k == 1 or elems[-2] == top - 1
+        assert meure_applicable(basis) == (paired and basis.k > 1), basis
         covers = _table_covers(basis, h_max)
-        saturates = any(n == h * basis.top for h, n in enumerate(covers, start=1))
-        if basis.k > 1 and not meure_applicable(basis):
+        saturates = any(n == h * top for h, n in enumerate(covers, start=1))
+        if not paired:
             assert not saturates, basis
+            with pytest.raises(OverflowLimitError):
+                cover_profile(basis, 2**24)
         else:  # the docstring's bound: saturated by budget max(1, top - 2)
-            assert cover_profile(basis, max(1, basis.top - 2)).saturated_at, basis
+            assert cover_profile(basis, max(1, top - 2)).saturated_at, basis
+            # so a sweep to any budget is sized by that bound and answers
+            assert cover_profile(basis, 2**24).cover(2**24) == 2**24 * top, basis
         h0 = compute_h0(basis)
         for cap in (h0, h0 + 2, None):
             report = analyze(basis, cap)

@@ -412,6 +412,7 @@ def test_resume_refuses_records_of_another_box(tmp_path):
 
 
 def test_resume_refuses_finished_scan_of_another_box(tmp_path):
+    smaller, _ = _reference_scan(tmp_path, ScanSpec(3, 19))
     expected, _ = _reference_scan(tmp_path, ScanSpec(3, 20))
     out = tmp_path / "done.jsonl"
     for spec in (ScanSpec(3, 21), ScanSpec(3, 19), ScanSpec(3, 20, mode="all")):
@@ -419,6 +420,12 @@ def test_resume_refuses_finished_scan_of_another_box(tmp_path):
         with pytest.raises(ValueError, match="refusing to resume"):
             run_scan(spec, str(out), resume=True)
         assert out.read_bytes() == expected
+    # the whole box, then anything at all: two boxes, junk, or a torn line
+    for tail in (smaller, b"junk\n", b"x"):
+        out.write_bytes(expected + tail)
+        with pytest.raises(ValueError, match="does not hold a scan of the box k=3 ak_max=20"):
+            run_scan(ScanSpec(3, 20), str(out), resume=True)
+        assert out.read_bytes() == expected + tail
 
 
 def test_resume_refuses_a_summary_that_disagrees_with_its_records(tmp_path):
@@ -745,3 +752,6 @@ def test_extremal_one_denomination_needs_no_levels():
     # h + 1 levels of h + 2 bits would pass the level guard
     result = search_extremal(10**6, 1)
     assert (result.n_star, [str(b) for b in result.witnesses]) == (10**6, ["1"])
+    # nor a sweep of 2^24 + 2 entries: {1}'s certifying cover sweeps one budget
+    result = search_extremal(2**24, 1)
+    assert (result.n_star, [str(b) for b in result.witnesses]) == (2**24, ["1"])

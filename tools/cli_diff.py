@@ -12,7 +12,9 @@ code or ``--out`` bytes differ between the trees.  The cases are:
   an unpaired one at h = 10^7, an extremal search 1,200 slots deep, and
   two paired bases whose ``analyze`` sweep the reflection ceiling sigma*
   cuts: one with sigma* = h0 = 122, which sweeps no budget, and one
-  swept to sigma* = 5, below its cap 6;
+  swept to sigma* = 5, below its cap 6; and the one-element basis {1}
+  at h = 2 * 10^7, as a cover and as an extremal box, which sweep one
+  budget;
 - ``analyze --basis-file`` on the analyze-batch files of seeds 1..N
   (``bench/workloads.batch_bases``);
 - serial scans of the boxes (9,40), (5,25, --mode all), (4,280), (7,60)
@@ -63,6 +65,8 @@ EDGES = [
     "extremal --h 1 --k 1200",
     "analyze --basis 1,123,166,167",
     "analyze --basis 1,2,7,8 --cap 6",
+    "cover --basis 1 --h 20000000",
+    "extremal --h 20000000 --k 1",
 ]
 
 
