@@ -15,7 +15,6 @@ from .analysis import (
     BasisReport,
     analyze,
     compute_h0,
-    compute_h1,
     differences,
     is_symmetric,
     meure_applicable,

@@ -16,10 +16,7 @@ from __future__ import annotations
 from itertools import islice
 from operator import add
 
-from .core import Basis, Generation, _cover_entries, _dual, _Frozen, _h0_stamps
-# compute_h0 is not called here: the package re-exports it from this module,
-# and bench/probe.py traces analysis.compute_h0
-from .core import compute_h0, cover_profile
+from .core import Basis, Generation, _cover_entries, _dual, _Frozen, _h0_stamps, cover_profile
 from .errors import (
     NotSymmetricError,
     UsesTopElementError,
@@ -86,13 +83,13 @@ def symmetrize_even(half: Basis) -> Basis:
 # ---------- admissibility thresholds ----------
 
 
-def compute_h1(basis: Basis, cap: int) -> int | None:
-    """Smallest budget h >= h0 whose cover saturates at h * top.
+def compute_h0(basis: Basis) -> int:
+    """Smallest budget whose cover exceeds the top denomination.
 
-    The h1 that ``analyze`` reports for this cap: None when no budget in
-    h0..cap saturates, ValueError when cap < h0.
+    cover(h) passes top exactly when every x <= top + 1 needs at most h
+    stamps, so h0 is the largest entry of ``core._h0_stamps``.
     """
-    return analyze(basis, cap).h1
+    return max(_h0_stamps(basis))
 
 
 # ---------- reflection ----------

@@ -18,7 +18,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 
 from .analysis import DEFAULT_H1_CAP, analyze
-from .core import Basis, _integer, cover, cover_profile, parse_basis
+from .core import Basis, _check_size, _integer, cover, cover_profile, parse_basis
 from .errors import (
     BadParameterError,
     InvalidBasisError,
@@ -156,6 +156,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     for where, basis in _inputs(args):
         if args.profile:
             profile = _at(where, cover_profile, basis, args.h)
+            _at(where, _check_size, args.h, "cover profile", "rows")  # a paired sweep is not sized by h
             first = profile.saturated_at or args.h + 1
             rows = (
                 {"h": h, "cover": profile.cover(h), "saturated": h >= first}

@@ -5,8 +5,8 @@ Its cover at budget h is the largest n such that every integer in 1..n is
 a sum of at most h denominations (repetition allowed).  One windowed
 bitset sweep gives the covers of all budgets, and with them every cover
 the program reports; the minimal-stamp table gives h0 and witnesses and
-certifies each single cover; a brute-force enumerator over coefficient
-vectors serves as an independent cross-check.
+certifies each single cover past budget 1; a brute-force enumerator over
+coefficient vectors serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -370,18 +370,28 @@ def cover(basis: Basis, h: int) -> int:
     cover at g exactly when every x in 1..n_g needs at most g stamps and
     n_g + 1 needs more, and the table's recurrence computes those counts
     without the sweep, so a wrong sweep raises AssertionError naming the
-    basis.  Saturation is permanent (``cover_profile``), so a certified
-    n_g = g * top gives h * top at every h >= g.  The sweep's own
-    refusal (``_cover_entries``) fires before any shift or table.
+    basis.  At g = 1 no table is built: one stamp reaches exactly the
+    elements, so n_1 is the length of the run 1, 2, ..., n at the head of
+    the basis, certified from its first n + 1 elements by a_n = n (they
+    rise strictly from 1, so 1..n are all elements) and a_{n+1} != n + 1,
+    where the table's loop would scan O(n^2) of them.  Saturation is
+    permanent (``cover_profile``), so a certified n_g = g * top gives
+    h * top at every h >= g.  The sweep's own refusal (``_cover_entries``)
+    fires before any shift or table.
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
     profile = cover_profile(basis, h)
     g = profile.saturated_at or h
     n = profile.cover(g)
-    stamps = min_stamp_table(basis, n + 1).min_stamps
-    if max(stamps[:-1]) > g or stamps[-1] <= g:
-        raise AssertionError(f"the table refutes cover {n} of {basis} at h={g}")
+    if g == 1:
+        head = basis.elements[:n + 1]
+        if head[n - 1:n] != (n,) or head[n:] == (n + 1,):
+            raise AssertionError(f"the elements refute cover {n} of {basis} at h=1")
+    else:
+        stamps = min_stamp_table(basis, n + 1).min_stamps
+        if max(stamps[:-1]) > g or stamps[-1] <= g:
+            raise AssertionError(f"the table refutes cover {n} of {basis} at h={g}")
     return profile.cover(h)
 
 
@@ -391,15 +401,6 @@ def _h0_stamps(basis: Basis) -> tuple[int, ...]:
     OverflowLimitError when its top + 2 entries pass the table limit.
     """
     return min_stamp_table(basis, basis.top + 1).min_stamps
-
-
-def compute_h0(basis: Basis) -> int:
-    """Smallest budget whose cover exceeds the top denomination.
-
-    cover(h) passes top exactly when every x <= top + 1 needs at most h
-    stamps, so h0 is the largest entry of ``_h0_stamps``.
-    """
-    return max(_h0_stamps(basis))
 
 
 def cover_profile(basis: Basis, h_max: int) -> CoverProfile:

@@ -19,7 +19,6 @@ from stampcover import (
     analyze,
     brute_force_cover,
     compute_h0,
-    compute_h1,
     cover,
     cover_profile,
     differences,
@@ -114,11 +113,11 @@ def test_family_split_claim_under_30s():
     for p in (3, 5, 7):
         basis = family_a9(p)
         assert compute_h0(basis) == p
-        assert compute_h1(basis, 2 * p) == p + 1
+        assert analyze(basis, 2 * p).h1 == p + 1
     for p in (5, 7):
         basis = family_a10(p)
         assert compute_h0(basis) == p
-        assert compute_h1(basis, 2 * p) == p + 1
+        assert analyze(basis, 2 * p).h1 == p + 1
     assert time.perf_counter() - start < 30
 
 
@@ -173,7 +172,7 @@ def test_reflection_lemma_box_under_60s(box_tables):
 def test_saturation_theorem_box(box_tables):
     for basis, h0, table in box_tables[0]:
         window = max(h0, 2 * h0 - 2)
-        h1 = compute_h1(basis, window)
+        h1 = analyze(basis, window).h1
         assert h1 is not None
         assert h0 <= h1 <= window
         # the stitched ranges really are gap-free at h = 2*h0 - 2
@@ -234,7 +233,7 @@ def test_random_invariants_thousand_cases_each():
     for _ in range(1000):  # saturation persists across 3 further budgets
         basis = _random_symmetric_basis(rng)
         h0 = compute_h0(basis)
-        h1 = compute_h1(basis, max(h0, 2 * h0 - 2))
+        h1 = analyze(basis, max(h0, 2 * h0 - 2)).h1
         assert h1 is not None
         profile = cover_profile(basis, h1 + 3)
         for h in range(h1, h1 + 4):

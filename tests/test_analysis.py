@@ -11,7 +11,6 @@ from stampcover import (
     Generation,
     analyze,
     compute_h0,
-    compute_h1,
     cover,
     differences,
     find_generation,
@@ -139,9 +138,9 @@ def test_h0_matches_direct_cover_search():
 
 
 def test_h1_golden():
-    assert compute_h1(A9, 10) == 4
-    assert compute_h1(parse_basis("1,2"), 2) == 2
-    assert compute_h1(parse_basis("1,3,6,10"), 8) is None
+    assert analyze(A9, 10).h1 == 4
+    assert analyze(parse_basis("1,2"), 2).h1 == 2
+    assert analyze(parse_basis("1,3,6,10"), 8).h1 is None
 
 
 def test_h1_is_first_saturation():
@@ -153,7 +152,7 @@ def test_h1_is_first_saturation():
 
 def test_h1_rejects_cap_below_h0():
     with pytest.raises(ValueError):
-        compute_h1(parse_basis("1,3,6,10"), 2)
+        analyze(parse_basis("1,3,6,10"), 2).h1
 
 
 # ---------- reflection ----------

@@ -15,6 +15,7 @@ import tracemalloc
 import pytest
 
 import stampcover.cli as cli
+import stampcover.core as core
 import stampcover.search as search
 from stampcover.cli import main
 
@@ -100,6 +101,32 @@ def test_cover_profile_prints_each_row_as_it_is_made(monkeypatch, fmt):
             tracemalloc.stop()
     assert code == 0
     assert peak < 1 << 20
+
+
+def test_cover_profile_refuses_more_rows_than_the_table_limit(tmp_path, monkeypatch, capsys):
+    # 1,2 saturates at h = 1, so its sweep is one budget at any h, but a
+    # profile prints one row per budget
+    monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 10)
+    args = ["cover", "--basis", "1,2", "--profile", "--format", "table"]
+    assert main([*args, "--h", "10"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 10
+    assert main([*args, "--h", "11"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: OverflowLimitError: cover profile would need 11 rows, limit is 10\n"
+    )
+    batch = tmp_path / "bases.txt"
+    batch.write_text("1\n", encoding="utf-8")
+    assert main(["cover", "--basis-file", str(batch), "--h", "11", "--profile"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        f"error: OverflowLimitError: {batch}:1: cover profile would need 11 rows,"
+        " limit is 10\n",
+    )
+    # a sweep's own refusal comes first and keeps its text
+    assert main(["cover", "--basis", "1,3", "--h", "11", "--profile"]) == 3
+    assert capsys.readouterr().err == (
+        "error: OverflowLimitError: cover sweep would need 35 entries, limit is 10\n"
+    )
 
 
 # ---------- analyze ----------

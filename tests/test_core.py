@@ -382,8 +382,8 @@ def test_generation_soundness_invariant():
 PUBLIC_NAMES = (
     "Basis", "BasisReport", "CoverProfile", "DEFAULT_H1_CAP", "ExtremalResult",
     "Generation", "MinStampTable", "ScanFailure", "ScanSpec", "ScanSummary",
-    "analyze", "brute_force_cover", "compute_h0", "compute_h1", "cover",
-    "cover_profile", "differences", "enumerate_all_bases", "enumerate_symmetric",
+    "analyze", "brute_force_cover", "compute_h0", "cover", "cover_profile",
+    "differences", "enumerate_all_bases", "enumerate_symmetric",
     "errors", "family_a10", "family_a5", "family_a9", "find_generation",
     "is_symmetric", "meure_applicable", "min_stamp_table", "parse_basis",
     "reflect_generation", "run_scan", "scan_conjecture", "search_extremal",

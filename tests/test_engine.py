@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stampcover.analysis as analysis
+import stampcover.cli as cli
 import stampcover.core as core
 from stampcover import (
     DEFAULT_H1_CAP,
@@ -21,7 +22,6 @@ from stampcover import (
     analyze,
     brute_force_cover,
     compute_h0,
-    compute_h1,
     cover,
     cover_profile,
     enumerate_symmetric,
@@ -71,6 +71,12 @@ def _swept_thresholds(basis: Basis, cap: int | None) -> tuple:
         cap = max(h0, 2 * h0 - 2) if symmetric else max(DEFAULT_H1_CAP, h0)
     saturated_at = cover_profile(basis, cap).saturated_at
     return h0, None if saturated_at is None else max(h0, saturated_at), cap
+
+
+def _cover_profile_command(basis: str, h: int) -> int:
+    """``cover --profile`` run past ``main``, so that its refusal raises."""
+    args = cli._build_parser().parse_args(["cover", "--basis", basis, "--h", str(h), "--profile"])
+    return args.func(args)
 
 
 def _bases_up_to(k_max: int, top_max: int):
@@ -270,11 +276,31 @@ def test_cover_refuses_a_sweep_its_table_does_not_certify(monkeypatch):
 
 
 def test_cover_certifies_a_saturated_sweep_where_it_first_saturates(table_bounds):
-    # saturated at s = 2 and s = 1: one table of s * top + 2 entries each,
-    # not the h * top + 2 of the cover at h
+    # saturated at s = 2: one table of s * top + 2 entries, not the
+    # h * top + 2 of the cover at h; saturated at s = 1, the elements
+    # certify it with no table
     assert cover(Basis((1, 3, 4)), 2000) == 8000
     assert cover(Basis((1, 2)), 2**23 - 1) == 2**24 - 2
-    assert table_bounds == [2 * 4 + 1, 1 * 2 + 1]
+    assert table_bounds == [2 * 4 + 1]
+
+
+def test_cover_refuses_a_budget_one_sweep_its_elements_do_not_certify(
+    monkeypatch, table_bounds
+):
+    # one stamp covers 3 on 1,2,3,5: one too high fails at a_4 = 5, not 4;
+    # one too low at a_3 = 3, the next value after 2
+    basis = Basis((1, 2, 3, 5))
+    profile_real = core.cover_profile
+    assert cover(basis, 1) == 3
+    for skew in (1, -1):
+        def skewed(basis, h_max):
+            covers = profile_real(basis, h_max).covers
+            return core.CoverProfile(basis, h_max, tuple(n + skew for n in covers))
+
+        monkeypatch.setattr(core, "cover_profile", skewed)
+        with pytest.raises(AssertionError, match="1,2,3,5 at h=1"):
+            cover(basis, 1)
+    assert table_bounds == []
 
 
 def test_cover_refuses_a_sweep_that_saturates_one_budget_early(monkeypatch):
@@ -342,6 +368,8 @@ def test_sweep_refuses_values_beyond_64_bits():
         (lambda: compute_h0(Basis((1, 2**24 - 1))), "table", 2**24 + 1, "entries", 1),
         (lambda: cover_profile(Basis((1, 3)), 2**23), "cover sweep", 3 * 2**23 + 2, "entries", 1),
         (lambda: cover_profile(Basis((1, 2**63)), 2), "cover sweep", 2**64 + 2, "entries", 1),
+        # {1} sweeps one budget, but its profile prints one row per budget
+        (lambda: _cover_profile_command("1", 2**24 + 1), "cover profile", 2**24 + 1, "rows", 1),
         # the prefix 1, ..., k: 2**23 * 2 + 2 entries
         (lambda: search_extremal(2**23, 2), "cover sweep", 2**24 + 2, "entries", 1),
         # the box bound T = C(5001, 2) = 12502500
@@ -349,8 +377,8 @@ def test_sweep_refuses_values_beyond_64_bits():
         # T = C(3001, 1): 3001 levels of 3000 * 3001 + 2 entries
         (lambda: search_extremal(3000, 2), "levels", 3001 * 9003002, "bits", 64),
     ],
-    ids=["table", "h0-table", "sweep", "sweep-64-bit", "extremal-k", "extremal-box",
-         "extremal-levels"],
+    ids=["table", "h0-table", "sweep", "sweep-64-bit", "profile-rows", "extremal-k",
+         "extremal-box", "extremal-levels"],
 )
 def test_each_size_refusal_names_its_unit(refused, what, size, unit, per_entry):
     with pytest.raises(OverflowLimitError) as excinfo:
@@ -393,7 +421,6 @@ def test_thresholds_match_one_table(basis, extra):
     assert h0 == next(h for h, n in enumerate(covers, start=1) if n > top)
     saturated = [h for h, n in enumerate(covers, start=1) if h >= h0 and n == h * top]
     h1 = saturated[0] if saturated else None
-    assert compute_h1(basis, cap) == h1
     assert [n for _, n, _ in _profile_rows(basis, cap)] == covers
     saturated_at = cover_profile(basis, cap).saturated_at
     assert saturated_at == next(
@@ -411,9 +438,17 @@ def test_thresholds_match_one_table(basis, extra):
 
     if h0 > 2:
         with pytest.raises(ValueError):
-            compute_h1(basis, h0 - 1)
-        with pytest.raises(ValueError):
             analyze(basis, h0 - 1)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(basis=st.one_of(
+    _general_bases(),
+    # dense in a small range, so that runs 1, 2, ..., n of every length head the basis
+    st.sets(st.integers(2, 12), max_size=11).map(lambda r: Basis((1,) + tuple(sorted(r)))),
+))
+def test_budget_one_cover_matches_the_oracle(basis):
+    assert cover(basis, 1) == brute_force_cover(basis, 1)
 
 
 # ---------- the reflection short cut ----------
