@@ -213,47 +213,41 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
     ``cover_profile`` runs to min(cap, ceiling), so each sweep is sized
     and refused only by budgets it can reach; one that reaches a ceiling
     within the cap without saturating contradicts the proof and raises
-    AssertionError naming the basis.
+    AssertionError naming the basis.  A sweep never saturates below h0,
+    so the budget it saturates at is h1: saturation at g >= 2 gives
+    cover g*top > top, so g >= h0, and saturation at g = 1 means the
+    basis is {1, ..., top}, which is symmetric with sigma* = 0 and never
+    sweeps.
 
-    Before its tables, a non-symmetric paired basis is refused by the size
-    of a sweep to min(64 or the cap given, top - 2), a bound on work not
-    yet known, so that no refusal waits for two tables.  Since
-    sigma* <= top - 2, the sweep it then runs is no larger, unless the
-    default cap rose to h0 > 64; that sweep refuses its own size.
-    A cap given below the gap floor L = max over i of
-    ceil((a_{i+1} - 1) / a_i) raises ValueError before that refusal,
-    since L <= h0: x = a_{i+1} - 1 <= top + 1 is below
-    a_{i+1}, so each generation of x uses only elements <= a_i and takes
-    at least ceil(x / a_i) stamps.  A cap in L..h0 - 1 is still refused
-    by size.
+    A cap given is judged against h0 once the one table exists, for every
+    basis.  A non-symmetric paired basis is then refused by the size of a
+    sweep to min(cap, top - 2), a bound on work not yet known, so that no
+    refusal waits for two tables; with no cap given, that refusal comes
+    before any table, at min(64, top - 2).  Since sigma* <= top - 2, the
+    sweep it then runs is no larger, unless the default cap rose to
+    h0 > 64; that sweep refuses its own size.
     """
     elems, top = basis.elements, basis.top
     dual = _dual(elems)
     symmetric = dual == elems
     paired = dual[0] == 1
-    if paired and not symmetric:
-        floor = max(-(-(right - 1) // left) for left, right in zip(elems, elems[1:]))
-        if cap is not None and cap < floor:
-            raise ValueError(
-                f"cap {cap} is below the admissibility threshold, which is at least {floor}"
-            )
-        _cover_entries(top, min(DEFAULT_H1_CAP if cap is None else cap, top - 2))
+    if paired and not symmetric and cap is None:
+        _cover_entries(top, min(DEFAULT_H1_CAP, top - 2))
     stamps = _h0_stamps(basis)
     h0 = max(stamps)
     bound = max(h0, 2 * h0 - 2)
     if cap is None:
         cap = bound if symmetric else max(DEFAULT_H1_CAP, h0)
-    if cap < h0:
+    elif cap < h0:
         raise ValueError(f"cap {cap} is below the admissibility threshold {h0}")
-    saturated_at = None
+    elif paired and not symmetric:
+        _cover_entries(top, min(cap, top - 2))
+    h1 = None
     if paired:
         ceiling = _reflection_ceiling(stamps, stamps if symmetric else _h0_stamps(Basis(dual)))
-        saturated_at = h0
-        if ceiling > h0:
-            saturated_at = cover_profile(basis, min(cap, ceiling)).saturated_at
-        if saturated_at is None and ceiling <= cap:
+        h1 = h0 if ceiling <= h0 else cover_profile(basis, min(cap, ceiling)).saturated_at
+        if h1 is None and ceiling <= cap:
             raise AssertionError(f"{basis} does not saturate by its proven ceiling {ceiling}")
-    h1 = None if saturated_at is None else max(h0, saturated_at)
     holds = h1 == h0
     return BasisReport(basis, symmetric, h0, h1, cap, bound, holds, symmetric and not holds)
 

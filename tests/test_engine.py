@@ -634,7 +634,7 @@ def test_a_short_cut_basis_is_not_refused_a_sweep_it_skips(monkeypatch, capsys, 
 
 
 def test_a_sure_sweep_is_refused_before_the_h0_table(monkeypatch, capsys, counted):
-    # non-symmetric and a_{k-1} = top - 1: it sweeps to min(64, top - 2)
+    # non-symmetric and a_{k-1} = top - 1: at the default cap it sweeps to min(64, top - 2)
     basis = Basis((1, 3, 4999999, 5000000))
     assert meure_applicable(basis) and not is_symmetric(basis)
     message = "cover sweep would need 320000002 entries, limit is 16777216"
@@ -644,34 +644,59 @@ def test_a_sure_sweep_is_refused_before_the_h0_table(monkeypatch, capsys, counte
     assert main(["analyze", "--basis", str(basis)]) == 3
     assert capsys.readouterr() == ("", f"error: OverflowLimitError: {message}\n")
     assert counted == {"tables": 0, "sweeps": 0}
-    # an explicit cap from the gap floor 1666666 on is refused the same way,
-    # and cap 0 is not read as 64
-    with pytest.raises(OverflowLimitError, match="10000000000002 entries"):
-        analyze(basis, 2000000)
     # at top 5 the sweep stops by its ceiling 3, not at 64
     monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 3 * 5 + 1)
     with pytest.raises(OverflowLimitError, match="17 entries, limit is 16"):
         analyze(Basis((1, 3, 4, 5)))
-    with pytest.raises(ValueError, match="cap 0 is below"):
-        analyze(Basis((1, 3, 4, 5)), 0)
     assert counted == {"tables": 0, "sweeps": 0}
 
 
-def test_a_cap_below_the_gap_floor_is_invalid_before_any_sweep(capsys, counted):
-    # 4999998 takes 1666666 threes, so h0 >= 1666666 and no cap below it can hold
-    basis = Basis((1, 3, 4999999, 5000000))
-    message = "cap 5 is below the admissibility threshold, which is at least 1666666"
-    with pytest.raises(ValueError) as excinfo:
-        analyze(basis, 5)
+def test_a_given_cap_is_judged_against_h0_after_one_table(capsys, counted):
+    # 9998 takes 3333 threes and 9999 one stamp, so h0 = 3334 from one table of 10002 entries
+    basis = Basis((1, 3, 9999, 10000))
+    assert meure_applicable(basis) and not is_symmetric(basis)
+    # each call below builds the one table and no sweep
+    for calls, cap in enumerate((3332, 3333), 1):
+        message = f"cap {cap} is below the admissibility threshold 3334"
+        with pytest.raises(ValueError) as excinfo:
+            analyze(basis, cap)
+        assert str(excinfo.value) == message
+        assert main(["analyze", "--basis", str(basis), "--cap", str(cap)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert counted == {"tables": 2 * calls, "sweeps": 0}
+    # from h0 on, the sweep to min(cap, top - 2) is refused before the dual's table
+    message = "cover sweep would need 33340002 entries, limit is 16777216"
+    with pytest.raises(OverflowLimitError) as excinfo:
+        analyze(basis, 3334)
     assert str(excinfo.value) == message
-    assert main(["analyze", "--basis", str(basis), "--cap", "5"]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-    with pytest.raises(ValueError, match="at least 1666666"):
-        analyze(basis, 1666665)
-    # from the floor on, a cap below h0 is refused by the sweep's size
-    with pytest.raises(OverflowLimitError, match="8333330000002 entries"):
-        analyze(basis, 1666666)
-    assert counted == {"tables": 0, "sweeps": 0}
+    assert main(["analyze", "--basis", str(basis), "--cap", "3334"]) == 3
+    assert capsys.readouterr() == ("", f"error: OverflowLimitError: {message}\n")
+    assert counted == {"tables": 6, "sweeps": 0}
+    # cap 0 is not read as the default
+    with pytest.raises(ValueError) as excinfo:
+        analyze(Basis((1, 3, 4, 5)), 0)
+    assert str(excinfo.value) == "cap 0 is below the admissibility threshold 2"
+    assert counted == {"tables": 7, "sweeps": 0}
+
+
+def test_every_given_cap_on_a_small_paired_basis_waits_for_one_table(monkeypatch, counted):
+    # room for the h0 table of top + 2 entries, and for no sweep past budget 1
+    cases = 0
+    for basis in _paired_box(range(4, 7), 16):
+        monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", basis.top + 2)
+        h0 = compute_h0(basis)
+        for cap in range(1, h0 + 2):
+            before = dict(counted)
+            with pytest.raises(ValueError if cap < h0 else OverflowLimitError) as excinfo:
+                analyze(basis, cap)
+            if cap < h0:
+                assert str(excinfo.value) == (
+                    f"cap {cap} is below the admissibility threshold {h0}"
+                ), basis
+            assert counted["tables"] <= before["tables"] + 1, (basis, cap)
+            assert counted["sweeps"] == before["sweeps"], (basis, cap)
+            cases += 1
+    assert cases == 7397
 
 
 # ---------- the proven ceiling ----------

@@ -5,16 +5,18 @@ tree on ``PYTHONPATH``.  A case differs when its stdout, stderr, exit
 code or ``--out`` bytes differ between the trees.  The cases are:
 
 - the ``GOLDEN`` commands of ``tests/test_cli.py``, with its ``BASES`` file;
-- the ``ERRORS`` commands: refusals and invalid input, each well under a
-  second, two of them on the ``BAD_FILES`` basis files;
+- the ``ERRORS`` commands: refusals and invalid input, each within about
+  1.5 s (a cap given on a 5 * 10^6 top waits for its h0 table), two of
+  them on the ``BAD_FILES`` basis files;
 - the ``PROFILES`` commands: a 100,000-row profile in each JSON format;
 - the ``EDGES`` commands, at the edge of a size rule: a paired basis and
-  an unpaired one at h = 10^7, an extremal search 1,200 slots deep, and
+  an unpaired one at h = 10^7, an extremal search 1,200 slots deep,
   two paired bases whose ``analyze`` sweep the reflection ceiling sigma*
   cuts: one with sigma* = h0 = 122, which sweeps no budget, and one
-  swept to sigma* = 5, below its cap 6; and the one-element basis {1}
+  swept to sigma* = 5, below its cap 6; the one-element basis {1}
   at h = 2 * 10^7, as a cover and as an extremal box, which sweep one
-  budget;
+  budget; and a non-symmetric paired basis with h0 = 3334 at caps
+  3333 (invalid) and 3334 (a sweep refused by its size);
 - ``analyze --basis-file`` on the analyze-batch files of seeds 1..N
   (``bench/workloads.batch_bases``);
 - serial scans of the boxes (9,40), (5,25, --mode all), (4,280), (7,60)
@@ -67,6 +69,8 @@ EDGES = [
     "analyze --basis 1,2,7,8 --cap 6",
     "cover --basis 1 --h 20000000",
     "extremal --h 20000000 --k 1",
+    "analyze --basis 1,3,9999,10000 --cap 3333",
+    "analyze --basis 1,3,9999,10000 --cap 3334",
 ]
 
 
