@@ -5,7 +5,7 @@ Its cover at budget h is the largest n such that every integer in 1..n is
 a sum of at most h denominations (repetition allowed).  One windowed
 bitset sweep gives the covers of all budgets, and with them every cover
 the program reports; the minimal-stamp table gives h0 and witnesses and
-certifies each single cover past budget 1; a brute-force enumerator over
+certifies each single cover; a brute-force enumerator over
 coefficient vectors serves as an independent cross-check.
 """
 
@@ -279,23 +279,32 @@ class MinStampTable(_Frozen):
 def min_stamp_table(basis: Basis, bound: int) -> MinStampTable:
     """Minimal stamp counts for every value 0..bound by forward recurrence.
 
-    Runs in O(bound * k).  Every value is reachable, since 1 is in the
-    basis.  Raises OverflowLimitError, reporting the size it would have
-    needed, when bound + 1 exceeds DEFAULT_TABLE_LIMIT.
+    Each element a <= bound takes 1 stamp.  Each x in the gap after a,
+    up to the next element or bound, takes 1 + the fewest stamps of
+    x - s over the elements s <= a, the only ones below x; they are kept
+    in one list that grows by one append per element.  So a run of
+    elements costs one step each, and the table O(bound * k) at most.
+    Raises OverflowLimitError, reporting the size it would have needed,
+    when bound + 1 exceeds DEFAULT_TABLE_LIMIT.
     """
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
-    steps = basis.elements[1:]
+    elems = basis.elements
     stamps = [0] * _check_size(bound + 1)
-    for x in range(1, bound + 1):
-        best = stamps[x - 1]  # one stamp of value 1
-        for step in steps:
-            if step > x:
-                break  # elements ascend, so the rest are too big as well
-            candidate = stamps[x - step]
-            if candidate < best:
-                best = candidate
-        stamps[x] = best + 1
+    steps = []  # the elements 1 < s <= a
+    for a, after in zip(elems, elems[1:] + (bound + 1,)):
+        if a > bound:
+            break
+        stamps[a] = 1
+        if a > 1:
+            steps.append(a)
+        for x in range(a + 1, min(after, bound + 1)):
+            best = stamps[x - 1]  # one stamp of value 1
+            for step in steps:
+                candidate = stamps[x - step]
+                if candidate < best:
+                    best = candidate
+            stamps[x] = best + 1
     return MinStampTable(basis, bound, tuple(stamps))
 
 
@@ -368,30 +377,20 @@ def cover(basis: Basis, h: int) -> int:
     certified at g, the budget where the sweep first saturates (h if it
     does not), on a minimal-stamp table of n_g + 2 entries: n_g is the
     cover at g exactly when every x in 1..n_g needs at most g stamps and
-    n_g + 1 needs more, and the table's recurrence computes those counts
-    without the sweep, so a wrong sweep raises AssertionError naming the
-    basis.  At g = 1 no table is built: one stamp reaches exactly the
-    elements, so n_1 is the length of the run 1, 2, ..., n at the head of
-    the basis, certified from its first n + 1 elements by a_n = n (they
-    rise strictly from 1, so 1..n are all elements) and a_{n+1} != n + 1,
-    where the table's loop would scan O(n^2) of them.  Saturation is
-    permanent (``cover_profile``), so a certified n_g = g * top gives
-    h * top at every h >= g.  The sweep's own refusal (``_cover_entries``)
-    fires before any shift or table.
+    n_g + 1 needs more, and the table computes those counts without the
+    sweep, so a wrong sweep raises AssertionError naming the basis.
+    Saturation is permanent (``cover_profile``), so a certified
+    n_g = g * top gives h * top at every h >= g.  The sweep's own refusal
+    (``_cover_entries``) fires before any shift or table.
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
     profile = cover_profile(basis, h)
     g = profile.saturated_at or h
     n = profile.cover(g)
-    if g == 1:
-        head = basis.elements[:n + 1]
-        if head[n - 1:n] != (n,) or head[n:] == (n + 1,):
-            raise AssertionError(f"the elements refute cover {n} of {basis} at h=1")
-    else:
-        stamps = min_stamp_table(basis, n + 1).min_stamps
-        if max(stamps[:-1]) > g or stamps[-1] <= g:
-            raise AssertionError(f"the table refutes cover {n} of {basis} at h={g}")
+    stamps = min_stamp_table(basis, n + 1).min_stamps
+    if max(stamps[:-1]) > g or stamps[-1] <= g:
+        raise AssertionError(f"the table refutes cover {n} of {basis} at h={g}")
     return profile.cover(h)
 
 

@@ -155,9 +155,16 @@ def test_table_golden_values():
 
 def test_table_matches_slow_enumeration():
     rng = random.Random(7)
+    cases = []
     for _ in range(25):
         basis = _random_basis(rng, max_k=4, max_element=10)
-        bound = rng.randint(1, 3 * basis.top)
+        cases.append((basis, rng.randint(1, 3 * basis.top)))
+    # bases with a run of elements at the head, at every bound: ends on
+    # an element, inside a gap, and past the top
+    for elements in ((1, 2, 3, 5), (1, 2, 3, 4, 9), (1, 2, 7)):
+        basis = Basis(elements)
+        cases.extend((basis, bound) for bound in range(1, 2 * basis.top + 3))
+    for basis, bound in cases:
         table = min_stamp_table(basis, bound)
         for x in range(bound + 1):
             assert table.min_stamps[x] == _enumeration_min_weight(basis, x, bound)

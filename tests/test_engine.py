@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -276,19 +277,18 @@ def test_cover_refuses_a_sweep_its_table_does_not_certify(monkeypatch):
 
 
 def test_cover_certifies_a_saturated_sweep_where_it_first_saturates(table_bounds):
-    # saturated at s = 2: one table of s * top + 2 entries, not the
-    # h * top + 2 of the cover at h; saturated at s = 1, the elements
-    # certify it with no table
+    # saturated at s = 2 and at s = 1: one table of s * top + 2 entries
+    # each, not the h * top + 2 of the cover at h
     assert cover(Basis((1, 3, 4)), 2000) == 8000
     assert cover(Basis((1, 2)), 2**23 - 1) == 2**24 - 2
-    assert table_bounds == [2 * 4 + 1]
+    assert table_bounds == [2 * 4 + 1, 1 * 2 + 1]
 
 
-def test_cover_refuses_a_budget_one_sweep_its_elements_do_not_certify(
+def test_cover_refuses_a_budget_one_sweep_its_table_does_not_certify(
     monkeypatch, table_bounds
 ):
-    # one stamp covers 3 on 1,2,3,5: one too high fails at a_4 = 5, not 4;
-    # one too low at a_3 = 3, the next value after 2
+    # one stamp covers 3 on 1,2,3,5: one too high fails at 4, which needs
+    # 2 stamps; one too low at 3, the table's end, which needs 1
     basis = Basis((1, 2, 3, 5))
     profile_real = core.cover_profile
     assert cover(basis, 1) == 3
@@ -300,7 +300,19 @@ def test_cover_refuses_a_budget_one_sweep_its_elements_do_not_certify(
         monkeypatch.setattr(core, "cover_profile", skewed)
         with pytest.raises(AssertionError, match="1,2,3,5 at h=1"):
             cover(basis, 1)
-    assert table_bounds == []
+    assert table_bounds == [3 + 1, 4 + 1, 2 + 1]  # one table of bound n + 1 per cover
+
+
+def test_a_table_over_a_run_of_elements_is_linear_in_its_length(table_bounds):
+    # the run 1, 2, ..., 20000 has no gap, so each value takes one step; a
+    # loop that rescans every element <= x takes 2 * 10^8 (about 8 s)
+    run = Basis(tuple(range(1, 20001)))
+    start = time.perf_counter()
+    stamps = min_stamp_table(run, 20001).min_stamps
+    assert time.perf_counter() - start < 0.5
+    assert stamps[1:20001] == (1,) * 20000 and stamps[20001] == 2
+    assert cover(run, 1) == 20000
+    assert table_bounds == [20001]
 
 
 def test_cover_refuses_a_sweep_that_saturates_one_budget_early(monkeypatch):

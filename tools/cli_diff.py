@@ -15,8 +15,10 @@ code or ``--out`` bytes differ between the trees.  The cases are:
   cuts: one with sigma* = h0 = 122, which sweeps no budget, and one
   swept to sigma* = 5, below its cap 6; the one-element basis {1}
   at h = 2 * 10^7, as a cover and as an extremal box, which sweep one
-  budget; and a non-symmetric paired basis with h0 = 3334 at caps
-  3333 (invalid) and 3334 (a sweep refused by its size);
+  budget; a non-symmetric paired basis with h0 = 3334 at caps
+  3333 (invalid) and 3334 (a sweep refused by its size); and two
+  budget-1 covers certified on a table over a run of elements: the
+  extremal box (1, 20000) and a basis whose head run 1..10 ends in a gap;
 - ``analyze --basis-file`` on the analyze-batch files of seeds 1..N
   (``bench/workloads.batch_bases``);
 - serial scans of the boxes (9,40), (5,25, --mode all), (4,280), (7,60)
@@ -71,6 +73,8 @@ EDGES = [
     "extremal --h 20000000 --k 1",
     "analyze --basis 1,3,9999,10000 --cap 3333",
     "analyze --basis 1,3,9999,10000 --cap 3334",
+    "extremal --h 1 --k 20000",
+    "cover --basis 1,2,3,4,5,6,7,8,9,10,40 --h 1",
 ]
 
 
