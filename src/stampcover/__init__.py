@@ -15,9 +15,7 @@ from .analysis import (
     BasisReport,
     analyze,
     compute_h0,
-    differences,
     is_symmetric,
-    meure_applicable,
     reflect_generation,
     symmetrize_even,
     symmetrize_odd,

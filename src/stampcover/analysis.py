@@ -30,16 +30,6 @@ DEFAULT_H1_CAP = 64
 # ---------- symmetry ----------
 
 
-def differences(basis: Basis) -> tuple[int, ...]:
-    """Consecutive differences of the elements, counting up from zero."""
-    out = []
-    prev = 0
-    for value in basis.elements:
-        out.append(value - prev)
-        prev = value
-    return tuple(out)
-
-
 def is_symmetric(basis: Basis) -> bool:
     """True iff a_i + a_{k-i} = a_k for every 1 <= i <= k-1.
 
@@ -250,15 +240,3 @@ def analyze(basis: Basis, cap: int | None = None) -> BasisReport:
             raise AssertionError(f"{basis} does not saturate by its proven ceiling {ceiling}")
     holds = h1 == h0
     return BasisReport(basis, symmetric, h0, h1, cap, bound, holds, symmetric and not holds)
-
-
-def meure_applicable(basis: Basis) -> bool:
-    """True iff the second-largest denomination is one below the largest.
-
-    These are the paired bases (``core._dual``) with k >= 2: for k >= 2,
-    exactly the bases that saturate at some budget, each by
-    max(1, top - 2).  The one-element basis {1} is paired too and
-    saturates at h = 1, but is not counted here.  Every symmetric basis
-    with at least two elements qualifies, because it is its own dual.
-    """
-    return basis.k > 1 and _dual(basis.elements)[0] == 1

@@ -390,9 +390,9 @@ PUBLIC_NAMES = (
     "Basis", "BasisReport", "CoverProfile", "DEFAULT_H1_CAP", "ExtremalResult",
     "Generation", "MinStampTable", "ScanFailure", "ScanSpec", "ScanSummary",
     "analyze", "brute_force_cover", "compute_h0", "cover", "cover_profile",
-    "differences", "enumerate_all_bases", "enumerate_symmetric",
+    "enumerate_all_bases", "enumerate_symmetric",
     "errors", "family_a10", "family_a5", "family_a9", "find_generation",
-    "is_symmetric", "meure_applicable", "min_stamp_table", "parse_basis",
+    "is_symmetric", "min_stamp_table", "parse_basis",
     "reflect_generation", "run_scan", "scan_conjecture", "search_extremal",
     "symmetrize_even", "symmetrize_odd",
 )

@@ -30,7 +30,6 @@ from stampcover import (
     family_a10,
     find_generation,
     is_symmetric,
-    meure_applicable,
     min_stamp_table,
     reflect_generation,
     run_scan,
@@ -190,7 +189,7 @@ def test_only_meure_bases_saturate_and_analyze_matches_a_sweep_exhaustively():
             a + b == top for a, b in zip(below, reversed(below))
         ), basis
         paired = basis.k == 1 or elems[-2] == top - 1
-        assert meure_applicable(basis) == (paired and basis.k > 1), basis
+        assert (core._dual(elems)[0] == 1) == paired, basis
         covers = _table_covers(basis, h_max)
         saturates = any(n == h * top for h, n in enumerate(covers, start=1))
         if not paired:
@@ -229,7 +228,7 @@ def test_analyze_matches_a_sweep_on_wide_bases(basis, extra):
 
 def test_a_basis_that_never_saturates_is_not_refused_a_sweep_it_skips(monkeypatch, capsys, counted):
     basis = Basis((1, 3, 10))  # h0 = 4; a_{k-1} = 3, not 9, so nothing saturates
-    assert not meure_applicable(basis)
+    assert core._dual(basis.elements)[0] != 1
     # a sweep to cap 5 would need 52 entries; none runs, so none is refused
     monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 5 * 10 + 1)
     assert analyze(basis, 5).h1 is None
@@ -648,7 +647,7 @@ def test_a_short_cut_basis_is_not_refused_a_sweep_it_skips(monkeypatch, capsys, 
 def test_a_sure_sweep_is_refused_before_the_h0_table(monkeypatch, capsys, counted):
     # non-symmetric and a_{k-1} = top - 1: at the default cap it sweeps to min(64, top - 2)
     basis = Basis((1, 3, 4999999, 5000000))
-    assert meure_applicable(basis) and not is_symmetric(basis)
+    assert core._dual(basis.elements)[0] == 1 and not is_symmetric(basis)
     message = "cover sweep would need 320000002 entries, limit is 16777216"
     with pytest.raises(OverflowLimitError) as excinfo:
         analyze(basis)
@@ -666,7 +665,7 @@ def test_a_sure_sweep_is_refused_before_the_h0_table(monkeypatch, capsys, counte
 def test_a_given_cap_is_judged_against_h0_after_one_table(capsys, counted):
     # 9998 takes 3333 threes and 9999 one stamp, so h0 = 3334 from one table of 10002 entries
     basis = Basis((1, 3, 9999, 10000))
-    assert meure_applicable(basis) and not is_symmetric(basis)
+    assert core._dual(basis.elements)[0] == 1 and not is_symmetric(basis)
     # each call below builds the one table and no sweep
     for calls, cap in enumerate((3332, 3333), 1):
         message = f"cap {cap} is below the admissibility threshold 3334"
@@ -726,7 +725,7 @@ def _symmetric_or_meure_bases():
 def test_a_sweep_to_the_proven_ceiling_saturates(basis, extra):
     # sigma* by layers of sums, not the tables analyze reads it off
     ceiling = _sigma(basis)
-    assert meure_applicable(basis) and ceiling <= basis.top - 2
+    assert basis.k > 1 and core._dual(basis.elements)[0] == 1 and ceiling <= basis.top - 2
     assert cover_profile(basis, max(1, ceiling)).saturated_at is not None, basis
     cap = None if extra is None else compute_h0(basis) + extra
     report = analyze(basis, cap)
@@ -757,6 +756,19 @@ def test_a_sweep_that_misses_its_proven_ceiling_is_refused(monkeypatch):
     monkeypatch.setattr(analysis, "cover_profile", never)
     with pytest.raises(AssertionError, match="^1,2,5,6 does not saturate by its proven ceiling 3$"):
         analyze(Basis((1, 2, 5, 6)))
+
+
+def test_a_sweep_stopped_below_its_saturation_is_refused_by_cover_profile(monkeypatch):
+    # h1 = top - 2 on both; core's max(1, top - 2) read as top - 3 stops the sweep one short
+    for elems in ((1, 4, 5), (1, 5, 6)):
+        top = elems[-1]
+        assert cover_profile(Basis(elems), top).saturated_at == top - 2
+    monkeypatch.setattr(core, "max", lambda low, high: high - 1, raising=False)
+    for elems in ((1, 4, 5), (1, 5, 6)):
+        top = elems[-1]
+        message = f"^{','.join(map(str, elems))} does not saturate by its proven ceiling {top - 3}$"
+        with pytest.raises(AssertionError, match=message):
+            cover_profile(Basis(elems), top)
 
 
 def test_a_sweep_is_sized_by_its_ceiling_not_its_cap(monkeypatch, capsys):
