@@ -363,7 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader is gone, which is not invalid input; point fd 1 at
         # devnull so that the interpreter's final flush cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), stdout.fileno())
         return EXIT_STDOUT_CLOSED
     except (InvalidBasisError, BadParameterError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}", EXIT_INVALID)

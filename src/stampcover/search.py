@@ -227,6 +227,10 @@ def run_scan(
     """Scan the box, appending one JSON line per basis to ``out_path``.
 
     The final line is ``{"summary": {"scanned": N, "counterexamples": M}}``.
+    Records reach the file as its buffer fills, not one write each: an
+    error or KeyboardInterrupt still closes the file with every finished
+    record in it, and a kill that cuts the file anywhere in its last
+    buffer leaves what a resume truncates and recomputes.
     The box is enumerated once.  With ``resume=True`` the records on disk
     are replayed line by line against the head of that enumeration, so
     memory does not grow with the file; an interrupted file is truncated
@@ -253,7 +257,6 @@ def run_scan(
         for item in _reports(bases, threads):
             record = item.to_json_dict()
             fh.write(_dumps(record) + "\n")
-            fh.flush()
             scanned += 1
             counterexamples += _is_counterexample(record)
         summary = ScanSummary(scanned, counterexamples)

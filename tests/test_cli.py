@@ -1023,6 +1023,18 @@ def test_closed_stdout_exits_141_without_a_message():
             proc.kill()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_in_process_returns_141_and_leaks_no_descriptor(capsys, monkeypatch):
+    before = len(os.listdir("/proc/self/fd"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the answer is written
+    with open(write_end, "w", encoding="utf-8") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["cover", "--basis", "1,3", "--h", "2", "--format", "json"]) == 141
+    assert capsys.readouterr().err == ""
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_commands_run_without_a_stdout(tmp_path):
     # the shell's `>&-`: the child starts with no fd 1, so sys.stdout is None
     # without --format, and analyze's table, the command still looks at stdout

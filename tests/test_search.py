@@ -354,16 +354,24 @@ def test_resume_of_a_finished_file_does_not_hold_it(tmp_path, k9_top40_scan):
     assert out.read_bytes() == data
 
 
-def test_resume_truncates_torn_final_line(tmp_path):
+def test_resume_restores_the_bytes_from_every_kind_of_cut(tmp_path):
+    # a kill cuts the file anywhere in its last buffer: at a line's start, in
+    # its middle, just before its newline (a whole JSON object with none), or
+    # just after it; the summary line is cut in the same four places
     spec = ScanSpec(k=4, ak_max=14)
     expected, reference = _reference_scan(tmp_path, spec)
-
-    out = tmp_path / "torn.jsonl"
-    lines = expected.split(b"\n")
-    out.write_bytes(b"\n".join(lines[:3]) + b"\n" + lines[3][: len(lines[3]) // 2])
-    summary = run_scan(spec, str(out), resume=True)
-    assert out.read_bytes() == expected
-    assert summary == reference
+    assert (len(expected), expected.count(b"\n")) == (880, 7)
+    cuts = set()
+    start = 0
+    for line in expected.splitlines(keepends=True):
+        end = start + len(line)
+        cuts.update((start, (start + end) // 2, end - 1, end))
+        start = end
+    out = tmp_path / "cut.jsonl"
+    for cut in sorted(cuts):
+        out.write_bytes(expected[:cut])
+        assert run_scan(spec, str(out), resume=True) == reference, cut
+        assert out.read_bytes() == expected, cut
 
 
 def test_resume_discards_unparseable_tail(tmp_path):

@@ -76,6 +76,8 @@ MUTANTS = [
     (SEARCH, "            if obj[\"summary\"] != ScanSummary(scanned, counterexamples)._asdict():\n",
      "            if False:\n",
      "a resume accepts a finished file whose summary disagrees with its records"),
+    (SEARCH, 'if line.endswith(b"\\n") else None', "if line else None",
+     "a resume reads a line cut just before its newline as a complete record"),
     (SEARCH, "range(low[-1] + 1, ak_max - low[-1] + 1)", "range(low[-1] + 1, ak_max - low[-1])",
      "the odd symmetric enumeration misses the bases whose top is ak_max"),
 ]
