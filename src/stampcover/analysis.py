@@ -39,35 +39,27 @@ def is_symmetric(basis: Basis) -> bool:
     return _dual(basis.elements) == basis.elements
 
 
-def _mirror(half: tuple[int, ...], odd: bool) -> tuple[int, ...]:
-    """The symmetric elements with lower half ``half`` and k = 2m - 1 or 2m.
-
-    The top is a_m + a_{m-1} (odd) or 2 * a_m (even); the slots between
-    follow the mirror rule a_{k-i} = a_k - a_i.
-    """
-    if odd:
-        top, lower = half[-1] + half[-2], half[:-2]
-    else:
-        top, lower = 2 * half[-1], half[:-1]
-    return half + tuple(top - value for value in reversed(lower)) + (top,)
-
-
 def symmetrize_odd(half: Basis) -> Basis:
     """Extend m >= 2 elements to the symmetric basis with k = 2m - 1.
 
-    The given elements become the lower half; the top is a_m + a_{m-1}.
+    The given elements become the lower half; the top is T = a_m + a_{m-1},
+    and the elements above a_m are T - a_i for i = m - 2, ..., 1
+    (``core._dual``).
     """
     if half.k < 2:
         raise ValueError("need at least two elements for an odd extension")
-    return Basis(_mirror(half.elements, odd=True))
+    a = half.elements
+    return Basis(a + _dual(a[:-2] + (a[-1] + a[-2],)))
 
 
 def symmetrize_even(half: Basis) -> Basis:
     """Extend m >= 1 elements to the symmetric basis with k = 2m.
 
-    The given elements become the lower half; the top is 2 * a_m.
+    The given elements become the lower half; the top is T = 2 * a_m, and
+    the elements above a_m are T - a_i for i = m - 1, ..., 1 (``core._dual``).
     """
-    return Basis(_mirror(half.elements, odd=False))
+    a = half.elements
+    return Basis(a + _dual(a[:-1] + (2 * a[-1],)))
 
 
 # ---------- admissibility thresholds ----------

@@ -128,9 +128,13 @@ def _at(where: str, work: Callable, *args: object):
 
 
 def _read_basis_file(path: str) -> list[tuple[str, Basis]]:
-    """Each basis of the file with the ``path:lineno: `` that names it."""
+    """Each basis of the file with the ``path:lineno: `` that names it.
+
+    A byte that is not UTF-8 stays in its line as a lone surrogate, so
+    ``parse_basis`` refuses it there as a token that is not an integer.
+    """
     bases = []
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if line:

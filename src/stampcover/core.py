@@ -164,6 +164,7 @@ def _dual(elements: tuple[int, ...]) -> tuple[int, ...]:
     Read from the top of A down, the deficits T - a of its elements below
     T rise strictly from T - a_{k-1} >= 1 to T - 1, so A* is strictly
     increasing with top T, and it is a basis exactly when it starts at 1.
+    It also builds the upper halves of ``analysis.symmetrize_*``.
     It decides two facts about A, and no other code in the package does:
 
     - A is symmetric (a_i + a_{k-i} = T for 1 <= i <= k - 1) exactly when

@@ -20,7 +20,7 @@ import math
 import os
 from collections.abc import Iterator
 
-from .analysis import BasisReport, _mirror, analyze
+from .analysis import BasisReport, analyze
 from .core import Basis, _check_size, _cover_entries, _Frozen, _reach_cover, cover
 from .errors import StampError, TooLargeError, WorkerDiedError
 
@@ -51,26 +51,24 @@ def enumerate_all_bases(k: int, ak_max: int) -> Iterator[Basis]:
 def enumerate_symmetric(k: int, ak_max: int) -> Iterator[Basis]:
     """Every symmetric basis with k elements and top at most ak_max.
 
-    A symmetric basis is determined by its lower half, so the stream
-    walks the halves in lexicographic order (which matches lexicographic
-    order of the full bases) and mirrors each one; only the full basis
-    is built and validated.
+    For k >= 3 a symmetric basis is its lower part low = (1, a_2, ..., a_p),
+    p = (k - 1) // 2, and its top T: the middle element T / 2 (even k
+    only), then T - a for a in reversed(low), then T.  Its elements rise
+    exactly when T > 2 * a_p (and T is even for even k), so each low part
+    takes every such top up to ak_max.  Low parts in lexicographic order,
+    then tops in increasing order, is lexicographic order of the full
+    bases.  k = 1 and k = 2 have only {1} and {1, 2}.
     """
     _check_box(k, ak_max)
-    if k == 1:
-        yield Basis((1,))
+    if k < 3:
+        yield Basis(tuple(range(1, k + 1)))
         return
-    if k % 2:
-        m = (k + 1) // 2
-        # a_{m-1} < a_m <= ak_max - a_{m-1}, so draw a_m only from there
-        for mid in itertools.combinations(range(2, (ak_max + 1) // 2), m - 2):
-            low = (1,) + mid
-            for middle in range(low[-1] + 1, ak_max - low[-1] + 1):
-                yield Basis(_mirror(low + (middle,), odd=True))
-    else:
-        m = k // 2
-        for mid in itertools.combinations(range(2, ak_max // 2 + 1), m - 1):
-            yield Basis(_mirror((1,) + mid, odd=False))
+    odd = k % 2
+    for mid in itertools.combinations(range(2, (ak_max + 1) // 2), (k - 3) // 2):
+        low = (1,) + mid
+        for top in range(2 * low[-1] + 2 - odd, ak_max + 1, 2 - odd):
+            middle = () if odd else (top // 2,)
+            yield Basis(low + middle + tuple(top - a for a in reversed(low)) + (top,))
 
 
 # ---------- conjecture scan ----------

@@ -496,6 +496,20 @@ def test_basis_file_parse_errors_keep_their_class_and_line(tmp_path, capsys):
     )
 
 
+def test_basis_file_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys):
+    batch = tmp_path / "latin.txt"
+    batch.write_bytes(b"1,3\n1,3,\xff\n")
+    for argv in (["analyze"], ["cover", "--h", "2"]):
+        assert main([*argv, "--basis-file", str(batch)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: InvalidBasisError: {batch}:2: ")
+    # in a comment, such a byte is dropped with the rest of the comment
+    batch.write_bytes(b"1,2,3 # \xff\n")
+    assert main(["analyze", "--basis-file", str(batch)]) == 0
+    assert capsys.readouterr().out.startswith('{"basis":"1,2,3",')
+
+
 def test_basis_file_64_bit_element_names_its_line(tmp_path, capsys):
     # refused while parsing, with the exit code of a limit, not of bad input
     batch = tmp_path / "wide.txt"

@@ -53,7 +53,10 @@ def test_enumerate_symmetric_golden():
 
 
 def test_enumerate_symmetric_matches_filtering():
-    for k, ak_max in [(1, 5), (2, 8), (3, 10), (4, 12), (5, 14), (6, 16), (7, 14)]:
+    for k, ak_max in [
+        (1, 5), (2, 8), (3, 10), (4, 12), (5, 14), (6, 16), (7, 14),
+        (2, 7), (3, 11), (4, 13), (5, 15), (6, 15), (8, 15),
+    ]:
         by_rule = list(enumerate_symmetric(k, ak_max))
         by_filter = [b for b in enumerate_all_bases(k, ak_max) if is_symmetric(b)]
         assert by_rule == by_filter
@@ -221,8 +224,8 @@ def test_scan_all_mode_covers_every_basis():
 
 
 def test_scan_validates_each_basis_once_past_its_enumerator(tmp_path, monkeypatch):
-    # a symmetric basis is mirrored from a tuple half, and nothing
-    # downstream of the enumerator builds it again
+    # a symmetric basis is built as a tuple from its lower part and top,
+    # and nothing downstream of the enumerator builds it again
     builds = []
     real_validate = Basis._validate
 

@@ -22,7 +22,9 @@ code or ``--out`` bytes differ between the trees.  The cases are:
 - ``analyze --basis-file`` on the analyze-batch files of seeds 1..N
   (``bench/workloads.batch_bases``);
 - serial scans of the boxes (9,40), (5,25, --mode all), (4,280), (7,60)
-  and (10,50).
+  and (10,50), and of the symmetric boxes (9,41), (8,41), (3,13), (2,9)
+  and (1,5), whose odd ``--ak-max`` takes each branch of the symmetric
+  enumerator: odd and even k, and k = 1 and 2.
 
 The case list and its input files come from this checkout; only the
 package under test changes.  It prints one line per differing case and
@@ -47,7 +49,8 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCANS = [(9, 40, "symmetric"), (5, 25, "all"), (4, 280, "symmetric"), (7, 60, "symmetric"),
-         (10, 50, "symmetric")]
+         (10, 50, "symmetric"), (9, 41, "symmetric"), (8, 41, "symmetric"),
+         (3, 13, "symmetric"), (2, 9, "symmetric"), (1, 5, "symmetric")]
 BAD_FILES = {"NONPOSITIVE": "1,3\n1,3,0\n", "WIDE": "1,2\n1,18446744073709551616\n"}
 ERRORS = [
     "analyze --basis 1,3,4999999,5000000",

@@ -78,8 +78,12 @@ MUTANTS = [
      "a resume accepts a finished file whose summary disagrees with its records"),
     (SEARCH, 'if line.endswith(b"\\n") else None', "if line else None",
      "a resume reads a line cut just before its newline as a complete record"),
-    (SEARCH, "range(low[-1] + 1, ak_max - low[-1] + 1)", "range(low[-1] + 1, ak_max - low[-1])",
-     "the odd symmetric enumeration misses the bases whose top is ak_max"),
+    (SEARCH, "ak_max + 1, 2 - odd)", "ak_max, 2 - odd)",
+     "the symmetric enumeration misses the bases whose top is ak_max"),
+    (SEARCH, "ak_max + 1, 2 - odd)", "ak_max + 1, 1)",
+     "the symmetric enumeration steps tops by 1 for even k, so it yields odd tops there"),
+    (SEARCH, "    if k < 3:\n", "    if k < 2:\n",
+     "the symmetric enumeration sends k = 2 through the low-part loop"),
 ]
 
 # (file, old text, new text, proof that no answer changes)
