@@ -27,7 +27,7 @@ from .errors import StampError, TooLargeError, WorkerDiedError
 # Refuse extremal searches that would visit more prefixes than this.
 DEFAULT_EXTREMAL_CEILING = 100_000
 
-_SCAN_CHUNK = 16  # bases per process-pool work item
+_SCAN_HALF = 2048  # bases per half of the process pool's window
 
 
 # ---------- enumeration ----------
@@ -130,14 +130,14 @@ def _reports(bases: Iterator[Basis], threads: int) -> Iterator[BasisReport | Sca
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     workers = min(threads, os.cpu_count() or 1)
     # Executor.map submits all it is given before yielding a result, so the
-    # pool gets the box half a window at a time, not all at once.  pairwise
-    # submits the next half before this one drains, so no worker idles, and
-    # at most one window of bases is in flight.
-    window = 8 * workers * _SCAN_CHUNK
-    halves = iter(lambda: list(itertools.islice(bases, window // 2)), [])
+    # pool gets the box one half at a time, not all at once, each half split
+    # evenly into two chunks per worker.  pairwise submits the next half
+    # before this one drains, so no worker idles, and at most two halves of
+    # bases are in flight.
+    halves = iter(lambda: list(itertools.islice(bases, _SCAN_HALF)), [])
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            maps = (pool.map(_evaluate, half, chunksize=_SCAN_CHUNK) for half in halves)
+            maps = (pool.map(_evaluate, h, chunksize=math.ceil(len(h) / (2 * workers))) for h in halves)
             for results, _ in itertools.pairwise(itertools.chain(maps, [()])):
                 yield from results
     except BrokenProcessPool as exc:

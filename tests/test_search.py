@@ -152,7 +152,7 @@ def test_scan_pool_is_bounded_by_the_cores_present(monkeypatch):
     # worker is ever started
     import concurrent.futures.process as process
 
-    sizes = []
+    sizes, halves = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -165,6 +165,7 @@ def test_scan_pool_is_bounded_by_the_cores_present(monkeypatch):
             return False
 
         def map(self, fn, iterable, chunksize=1):
+            halves.append((len(iterable), chunksize))
             return map(fn, iterable)
 
     monkeypatch.setattr(process, "ProcessPoolExecutor", RecordingPool)
@@ -174,7 +175,16 @@ def test_scan_pool_is_bounded_by_the_cores_present(monkeypatch):
         monkeypatch.setattr(search.os, "cpu_count", lambda: cores)
         assert list(scan_conjecture(spec, threads=threads)) == serial
         assert sizes.pop() == size
-    assert sizes == []
+        # the box's 9 bases are one half, split into two chunks per worker
+        assert halves.pop() == (9, math.ceil(9 / (2 * size)))
+    assert sizes == halves == []
+
+    # every half but the last holds _SCAN_HALF bases, split the same way
+    box = ScanSpec(k=3, ak_max=95, mode="all")  # 4,371 bases of tops up to 95
+    reports = scan_conjecture(box, threads=2)
+    assert [report.basis for report in reports] == list(enumerate_all_bases(3, 95))
+    full, rest = search._SCAN_HALF, 4371 % search._SCAN_HALF
+    assert halves == [(full, math.ceil(full / 4))] * 2 + [(rest, math.ceil(rest / 4))]
 
 
 def test_scan_pool_draws_one_window_before_its_first_report(monkeypatch):
@@ -187,13 +197,16 @@ def test_scan_pool_draws_one_window_before_its_first_report(monkeypatch):
             yield basis
 
     monkeypatch.setattr(search, "enumerate_symmetric", counting)
+    # closing the scan waits for both halves in flight, so halves smaller than
+    # the real ones keep this test short; the bounded-pool test pins their size
+    monkeypatch.setattr(search, "_SCAN_HALF", 256)
     reports = scan_conjecture(ScanSpec(9, 40), threads=2)
     try:
         first = next(reports)
     finally:
         reports.close()
     assert first.basis == drawn[0]
-    assert len(drawn) <= 8 * 2 * search._SCAN_CHUNK  # one window, not the box's 7,752
+    assert len(drawn) <= 2 * search._SCAN_HALF  # two halves, not the box's 7,752
 
 
 def test_box_refusals_are_worded_alike():
@@ -347,6 +360,10 @@ def test_resume_of_a_finished_file_does_not_hold_it(tmp_path, k9_top40_scan):
     out = tmp_path / "done.jsonl"
     out.write_bytes(data)
     size = out.stat().st_size
+    # an untraced resume first, so that the traced one finds the interpreter's
+    # tuple free lists as full as it leaves them, whatever tests ran before:
+    # tracemalloc counts a tuple parked there as still allocated
+    assert run_scan(spec, str(out), resume=True) == reference
     tracemalloc.start()
     try:
         assert run_scan(spec, str(out), resume=True) == reference

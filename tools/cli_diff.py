@@ -24,7 +24,9 @@ code or ``--out`` bytes differ between the trees.  The cases are:
 - serial scans of the boxes (9,40), (5,25, --mode all), (4,280), (7,60)
   and (10,50), and of the symmetric boxes (9,41), (8,41), (3,13), (2,9)
   and (1,5), whose odd ``--ak-max`` takes each branch of the symmetric
-  enumerator: odd and even k, and k = 1 and 2.
+  enumerator: odd and even k, and k = 1 and 2;
+- the ``POOLED`` scans (9,40) and (5,25, --mode all) again, at
+  ``--threads 2``, so that the pool's bytes are compared too.
 
 The case list and its input files come from this checkout; only the
 package under test changes.  It prints one line per differing case and
@@ -51,6 +53,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCANS = [(9, 40, "symmetric"), (5, 25, "all"), (4, 280, "symmetric"), (7, 60, "symmetric"),
          (10, 50, "symmetric"), (9, 41, "symmetric"), (8, 41, "symmetric"),
          (3, 13, "symmetric"), (2, 9, "symmetric"), (1, 5, "symmetric")]
+POOLED = SCANS[:2]  # scanned again on a pool of two workers
 BAD_FILES = {"NONPOSITIVE": "1,3\n1,3,0\n", "WIDE": "1,2\n1,18446744073709551616\n"}
 ERRORS = [
     "analyze --basis 1,3,4999999,5000000",
@@ -111,11 +114,12 @@ def _cases(tmp: pathlib.Path, seeds: int) -> list[list[str]]:
         lines = [",".join(map(str, elements)) + "\n" for elements, _ in batch_bases(seed)]
         path.write_text("".join(lines), encoding="utf-8")
         cases.append(["analyze", "--basis-file", str(path)])
-    for k, ak_max, mode in SCANS:
-        cases.append([
-            "scan", "--k", str(k), "--ak-max", str(ak_max), "--mode", mode,
-            "--threads", "1", "--out", str(tmp / "scan.jsonl"),
-        ])
+    for threads, boxes in [("1", SCANS), ("2", POOLED)]:
+        for k, ak_max, mode in boxes:
+            cases.append([
+                "scan", "--k", str(k), "--ak-max", str(ak_max), "--mode", mode,
+                "--threads", threads, "--out", str(tmp / "scan.jsonl"),
+            ])
     return cases
 
 

@@ -73,6 +73,12 @@ MUTANTS = [
      "extremal children capped at the prefix's cover n, not n + 1"),
     (SEARCH, "        ak_ceiling = head_cover + 1\n", "        ak_ceiling = head_cover + 2\n",
      "the derived extremal ceiling raised by one"),
+    (SEARCH, "child.append(level | child[-1] << nxt)", "child.append(level | child[-1])",
+     "an extremal prefix whose reach levels never add its new element"),
+    (SEARCH, "last = level | last << nxt", "last = level | last",
+     "an extremal leaf whose last element is never added"),
+    (SEARCH, "if slots == 2 and n > head_cover:", "if slots == 3 and n > head_cover:",
+     "the derived extremal ceiling read off (k - 2)-prefixes"),
     (SEARCH, "            if obj[\"summary\"] != ScanSummary(scanned, counterexamples)._asdict():\n",
      "            if False:\n",
      "a resume accepts a finished file whose summary disagrees with its records"),
