@@ -135,13 +135,18 @@ def _reports(bases: Iterator[Basis], threads: int) -> Iterator[BasisReport | Sca
     # before this one drains, so no worker idles, and at most two halves of
     # bases are in flight.
     halves = iter(lambda: list(itertools.islice(bases, _SCAN_HALF)), [])
+    pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            maps = (pool.map(_evaluate, h, chunksize=math.ceil(len(h) / (2 * workers))) for h in halves)
-            for results, _ in itertools.pairwise(itertools.chain(maps, [()])):
-                yield from results
+        maps = (pool.map(_evaluate, h, chunksize=math.ceil(len(h) / (2 * workers))) for h in halves)
+        for results, _ in itertools.pairwise(itertools.chain(maps, [()])):
+            yield from results
     except BrokenProcessPool as exc:
         raise WorkerDiedError("a scan worker died") from exc
+    finally:
+        # the prefetched half's map has not started, so nothing else cancels
+        # its futures when the reader stops early; only the chunks already
+        # sent to the workers are waited for
+        pool.shutdown(cancel_futures=True)
 
 
 def scan_conjecture(

@@ -1,4 +1,5 @@
-"""Shared pytest wiring: acceptance verdict lines and the k=9, top <= 40 reference scan."""
+"""Shared pytest wiring: acceptance verdict lines, the k=9, top <= 40 reference scan,
+and ``--reverse-order``, which runs the collected tests last to first."""
 
 from __future__ import annotations
 
@@ -17,6 +18,19 @@ def k9_top40_scan(tmp_path_factory):
     out = tmp_path_factory.mktemp("k9_top40") / "reference.jsonl"
     summary = run_scan(ScanSpec(k=9, ak_max=40), str(out))
     return out.read_bytes(), summary
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--reverse-order", action="store_true",
+        help="run the collected tests last to first, so that a check which passes "
+        "only after some other test has run fails",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--reverse-order"):
+        items.reverse()
 
 
 def pytest_runtest_logreport(report):

@@ -29,10 +29,9 @@ from stampcover import (
     find_generation,
     min_stamp_table,
     reflect_generation,
-    symmetrize_even,
-    symmetrize_odd,
 )
 from stampcover.cli import main
+from support import random_basis, random_symmetric_basis
 
 A9 = family_a9(3)
 A10_5 = family_a10(5)
@@ -46,26 +45,6 @@ def _best_of(repeats, fn):
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best
-
-
-def _random_symmetric_basis(rng: random.Random, max_m: int = 4, max_element: int = 12) -> Basis:
-    m = rng.randint(1, max_m)
-    if m == 1:
-        half = Basis((1,))
-    else:
-        rest = rng.sample(range(2, max_element + 1), m - 1)
-        half = Basis((1,) + tuple(sorted(rest)))
-    if m >= 2 and rng.random() < 0.5:
-        return symmetrize_odd(half)
-    return symmetrize_even(half)
-
-
-def _random_basis(rng: random.Random, max_k: int = 5, max_element: int = 12) -> Basis:
-    k = rng.randint(1, max_k)
-    if k == 1:
-        return Basis((1,))
-    rest = rng.sample(range(2, max_element + 1), k - 1)
-    return Basis((1,) + tuple(sorted(rest)))
 
 
 # ---------- 1: golden values ----------
@@ -216,13 +195,13 @@ def test_random_invariants_thousand_cases_each():
     rng = random.Random(68020)
 
     for _ in range(1000):  # bound: h <= n(h) <= h * top
-        basis = _random_basis(rng)
+        basis = random_basis(rng)
         h = rng.randint(1, 6)
         n = cover(basis, h)
         assert h <= n <= h * basis.top
 
     for _ in range(1000):  # monotone step
-        basis = _random_basis(rng)
+        basis = random_basis(rng)
         h = rng.randint(1, 6)
         profile = cover_profile(basis, h + 1)
         n_h, n_next = profile.cover(h), profile.cover(h + 1)
@@ -231,7 +210,7 @@ def test_random_invariants_thousand_cases_each():
             assert n_next >= n_h + basis.top
 
     for _ in range(1000):  # saturation persists across 3 further budgets
-        basis = _random_symmetric_basis(rng)
+        basis = random_symmetric_basis(rng)
         h0 = compute_h0(basis)
         h1 = analyze(basis, max(h0, 2 * h0 - 2)).h1
         assert h1 is not None
@@ -240,7 +219,7 @@ def test_random_invariants_thousand_cases_each():
             assert profile.cover(h) == h * basis.top
 
     for _ in range(1000):  # generation soundness
-        basis = _random_basis(rng)
+        basis = random_basis(rng)
         h = rng.randint(1, 8)
         x = rng.randint(0, h * basis.top)
         stamps = min_stamp_table(basis, max(x, 1)).min_stamps

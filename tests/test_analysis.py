@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import stampcover.analysis as analysis
 from stampcover import (
     Basis,
     Generation,
@@ -25,30 +26,9 @@ from stampcover.errors import (
     UsesTopElementError,
     WeightExceedsBudgetError,
 )
+from support import random_basis, random_symmetric_basis
 
 A9 = parse_basis("1,3,5,8,20,23,25,27,28")
-
-
-def _random_basis(rng: random.Random, max_k: int = 5, max_element: int = 12) -> Basis:
-    k = rng.randint(1, max_k)
-    if k == 1:
-        return Basis((1,))
-    rest = rng.sample(range(2, max_element + 1), k - 1)
-    return Basis((1,) + tuple(sorted(rest)))
-
-
-def _random_symmetric_basis(
-    rng: random.Random, max_m: int = 4, max_element: int = 12
-) -> Basis:
-    m = rng.randint(1, max_m)
-    if m == 1:
-        half = Basis((1,))
-    else:
-        rest = rng.sample(range(2, max_element + 1), m - 1)
-        half = Basis((1,) + tuple(sorted(rest)))
-    if m >= 2 and rng.random() < 0.5:
-        return symmetrize_odd(half)
-    return symmetrize_even(half)
 
 
 # ---------- symmetry ----------
@@ -65,8 +45,8 @@ def test_is_symmetric_golden():
 
 def test_symmetry_equals_palindromic_differences():
     rng = random.Random(555)
-    cases = [_random_basis(rng) for _ in range(200)]
-    cases += [_random_symmetric_basis(rng) for _ in range(200)]
+    cases = [random_basis(rng) for _ in range(200)]
+    cases += [random_symmetric_basis(rng) for _ in range(200)]
     for basis in cases:
         diffs = tuple(b - a for a, b in zip((0,) + basis.elements, basis.elements))
         assert is_symmetric(basis) == (diffs == tuple(reversed(diffs)))
@@ -121,7 +101,7 @@ def test_h0_golden():
 def test_h0_matches_direct_cover_search():
     rng = random.Random(2024)
     for _ in range(100):
-        basis = _random_basis(rng)
+        basis = random_basis(rng)
         h0 = compute_h0(basis)
         assert h0 >= 2
         assert cover(basis, h0) > basis.top
@@ -205,10 +185,18 @@ def test_reflect_rejects_size_mismatch():
         reflect_generation(A9, Generation((1, 0), 1, 1), 3)
 
 
+def test_reflect_checks_its_own_arithmetic(monkeypatch):
+    # only a basis that is not symmetric can break the reflection, so let
+    # 1,2,5 pass for one: 3 = 1 + 2 reflects at h0 = 2 to 2 + 1 = 3, not 2 * 5 - 3 = 7
+    monkeypatch.setattr(analysis, "is_symmetric", lambda basis: True)
+    with pytest.raises(AssertionError, match="^reflection arithmetic is inconsistent$"):
+        reflect_generation(parse_basis("1,2,5"), Generation((1, 1, 0), 3, 2), 2)
+
+
 def test_reflect_random_symmetric_cases():
     rng = random.Random(3333)
     for _ in range(150):
-        basis = _random_symmetric_basis(rng)
+        basis = random_symmetric_basis(rng)
         h0 = compute_h0(basis)
         x = rng.randrange(basis.top)
         gen = find_generation(basis, x, h0)
@@ -287,7 +275,7 @@ def test_analyze_rejects_cap_below_h0():
 def test_theorem_window_on_random_symmetric_bases():
     rng = random.Random(9090)
     for _ in range(150):
-        basis = _random_symmetric_basis(rng)
+        basis = random_symmetric_basis(rng)
         report = analyze(basis)
         assert report.symmetric
         assert report.h1 is not None

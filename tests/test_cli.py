@@ -10,7 +10,6 @@ import signal
 import subprocess
 import sys
 import time
-import tracemalloc
 
 import pytest
 
@@ -18,6 +17,7 @@ import stampcover.cli as cli
 import stampcover.core as core
 import stampcover.search as search
 from stampcover.cli import main
+from support import STAMPCOVER, child_env, run_child, traced_peak
 
 A9_TEXT = "1,3,5,8,20,23,25,27,28"
 
@@ -91,16 +91,12 @@ def test_cover_profile_prints_each_row_as_it_is_made(monkeypatch, fmt):
     # the JSON text of them about 8 MiB (jsonl) to 16 MiB (json)
     with open(os.devnull, "w", encoding="utf-8") as null:
         monkeypatch.setattr(sys, "stdout", null)
-        tracemalloc.start()
-        try:
+        with traced_peak() as probe:
             code = main(
                 ["cover", "--basis", "1,2", "--h", "20000", "--profile", "--format", fmt]
             )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
     assert code == 0
-    assert peak < 1 << 20
+    assert probe.peak < 1 << 20
 
 
 def test_cover_profile_refuses_more_rows_than_the_table_limit(tmp_path, monkeypatch, capsys):
@@ -345,24 +341,16 @@ def test_dead_scan_worker_exits_1_and_resumes(tmp_path, monkeypatch, capsys):
     assert out.read_bytes() == reference.read_bytes()
 
 
-def _child_env() -> dict:
-    """Environment in which a child imports the package from where this process found it."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
-
-
 def test_sigkilled_scan_resumes_to_identical_bytes(tmp_path, k9_top40_scan):
     reference = tmp_path / "reference.jsonl"
     reference.write_bytes(k9_top40_scan[0])
 
     out = tmp_path / "killed.jsonl"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "stampcover", "scan", "--k", "9", "--ak-max", "40",
-         "--out", str(out)],
+        [*STAMPCOVER, "scan", "--k", "9", "--ak-max", "40", "--out", str(out)],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
-        env=_child_env(),
+        env=child_env(),
     )
     try:
         deadline = time.monotonic() + 60
@@ -920,14 +908,7 @@ def test_not_a_tty_means_no_ansi(capsys, monkeypatch):
 
 
 def test_python_dash_m_invocation():
-    proc = subprocess.run(
-        [sys.executable, "-m", "stampcover", "cover", "--basis", "1,3,6,10",
-         "--h", "3", "--format", "table"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=_child_env(),
-    )
+    proc = run_child(*STAMPCOVER, "cover", "--basis", "1,3,6,10", "--h", "3", "--format", "table")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "23"
 
@@ -949,13 +930,9 @@ print(f"exit={code} loaded={[m for m in unused if m in sys.modules]}", file=sys.
 
 
 def test_startup_does_not_import_the_process_pool():
-    proc = subprocess.run(
-        [sys.executable, "-c", _UNUSED_MODULES_WRAPPER, "family", "--kind", "a9",
-         "--p", "3", "--format", "table"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=_child_env(),
+    proc = run_child(
+        sys.executable, "-c", _UNUSED_MODULES_WRAPPER, "family", "--kind", "a9", "--p", "3",
+        "--format", "table",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == A9_TEXT + "\n"
@@ -969,13 +946,8 @@ def test_module_run_freezes_the_heap_once_main_returns():
     wrapper = _UNUSED_MODULES_WRAPPER + (
         "import gc\nprint(f'frozen={gc.get_freeze_count() > 0}', file=sys.stderr)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", wrapper, "family", "--kind", "a9", "--p", "3",
-         "--format", "table"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=_child_env(),
+    proc = run_child(
+        sys.executable, "-c", wrapper, "family", "--kind", "a9", "--p", "3", "--format", "table"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == A9_TEXT + "\n"
@@ -998,11 +970,10 @@ def test_pooled_scan_command_leaves_no_worker_behind(tmp_path):
     search.run_scan(search.ScanSpec(k=9, ak_max=28), str(reference))
     out = tmp_path / "pooled.jsonl"
     with subprocess.Popen(
-        [sys.executable, "-m", "stampcover", "scan", "--k", "9", "--ak-max", "28",
-         "--threads", "2", "--out", str(out)],
+        [*STAMPCOVER, "scan", "--k", "9", "--ak-max", "28", "--threads", "2", "--out", str(out)],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
-        env=_child_env(),
+        env=child_env(),
         start_new_session=True,
     ) as proc:
         try:
@@ -1022,11 +993,11 @@ def test_pooled_scan_command_leaves_no_worker_behind(tmp_path):
 
 def test_closed_stdout_exits_141_without_a_message():
     with subprocess.Popen(
-        [sys.executable, "-m", "stampcover", "cover", "--basis", "1,3,16", "--h",
-         "20000", "--profile", "--format", "table"],
+        [*STAMPCOVER, "cover", "--basis", "1,3,16", "--h", "20000", "--profile",
+         "--format", "table"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=_child_env(),
+        env=child_env(),
     ) as proc:
         try:
             assert proc.stdout.readline() == b"basis = 1,3,16\n"
@@ -1063,12 +1034,6 @@ def test_commands_run_without_a_stdout(tmp_path):
         (["analyze", "--basis", "1,3,4"], ""),
         (["analyze", "--basis", A9_TEXT, "--format", "table"], ""),
     ):
-        proc = subprocess.run(
-            ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "stampcover", *args],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=_child_env(),
-        )
+        proc = run_child("sh", "-c", 'exec "$0" "$@" >&-', *STAMPCOVER, *args)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", err), args
     assert out.read_bytes().endswith(b'{"summary":{"scanned":10,"counterexamples":0}}\n')

@@ -28,17 +28,10 @@ from stampcover.errors import (
     OverflowLimitError,
     TooLargeError,
 )
+from support import random_basis
 
 
 # ---------- helpers ----------
-
-
-def _random_basis(rng: random.Random, max_k: int = 5, max_element: int = 12) -> Basis:
-    k = rng.randint(1, max_k)
-    if k == 1:
-        return Basis((1,))
-    rest = rng.sample(range(2, max_element + 1), k - 1)
-    return Basis((1,) + tuple(sorted(rest)))
 
 
 def _enumeration_min_weight(basis: Basis, x: int, h_max: int) -> int | None:
@@ -136,7 +129,7 @@ def test_element_must_fit_64_bits():
 def test_str_round_trips():
     rng = random.Random(20260819)
     for _ in range(50):
-        basis = _random_basis(rng)
+        basis = random_basis(rng)
         assert parse_basis(str(basis)) == basis
 
 
@@ -157,7 +150,7 @@ def test_table_matches_slow_enumeration():
     rng = random.Random(7)
     cases = []
     for _ in range(25):
-        basis = _random_basis(rng, max_k=4, max_element=10)
+        basis = random_basis(rng, max_k=4, max_element=10)
         cases.append((basis, rng.randint(1, 3 * basis.top)))
     # bases with a run of elements at the head, at every bound: ends on
     # an element, inside a gap, and past the top
@@ -173,7 +166,7 @@ def test_table_matches_slow_enumeration():
 def test_table_bellman_consistency_spot_checks():
     rng = random.Random(99)
     for _ in range(40):
-        basis = _random_basis(rng)
+        basis = random_basis(rng)
         bound = rng.randint(basis.top, 4 * basis.top)
         stamps = min_stamp_table(basis, bound).min_stamps
         assert stamps[0] == 0
@@ -308,7 +301,7 @@ def test_cover_matches_brute_force_small_box():
 def test_cover_profile_agrees_with_cover():
     rng = random.Random(4242)
     for _ in range(20):
-        basis = _random_basis(rng)
+        basis = random_basis(rng)
         h_max = rng.randint(1, 6)
         profile = cover_profile(basis, h_max)
         assert profile.h_max == h_max
@@ -346,7 +339,7 @@ def test_cover_overflow_is_an_error():
 def test_cover_bound_invariant():
     rng = random.Random(1001)
     for _ in range(300):
-        basis = _random_basis(rng)
+        basis = random_basis(rng)
         h = rng.randint(1, 6)
         n = cover(basis, h)
         assert h <= n <= h * basis.top
@@ -355,7 +348,7 @@ def test_cover_bound_invariant():
 def test_monotone_step_invariant():
     rng = random.Random(1002)
     for _ in range(300):
-        basis = _random_basis(rng)
+        basis = random_basis(rng)
         h = rng.randint(1, 6)
         profile = cover_profile(basis, h + 1)
         n_h = profile.cover(h)
@@ -368,7 +361,7 @@ def test_monotone_step_invariant():
 def test_generation_soundness_invariant():
     rng = random.Random(1003)
     for _ in range(300):
-        basis = _random_basis(rng)
+        basis = random_basis(rng)
         h = rng.randint(1, 8)
         bound = h * basis.top
         table = min_stamp_table(basis, bound)

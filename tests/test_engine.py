@@ -38,6 +38,7 @@ from stampcover import (
     symmetrize_odd,
 )
 from stampcover.cli import main
+from support import record_calls
 from stampcover.errors import OverflowLimitError
 
 
@@ -237,21 +238,13 @@ def test_a_basis_that_never_saturates_is_not_refused_a_sweep_it_skips(monkeypatc
     with pytest.raises(ValueError) as excinfo:
         analyze(basis, 3)
     assert str(excinfo.value) == "cap 3 is below the admissibility threshold 4"
-    assert counted["sweeps"] == 0
+    assert counted()["sweeps"] == 0
 
 
 @pytest.fixture
 def table_bounds(monkeypatch):
     """The bound of every table ``core`` builds while the test runs."""
-    bounds = []
-    table_real = core.min_stamp_table
-
-    def counting(basis, bound):
-        bounds.append(bound)
-        return table_real(basis, bound)
-
-    monkeypatch.setattr(core, "min_stamp_table", counting)
-    return bounds
+    return record_calls(monkeypatch, core, "min_stamp_table", lambda basis, bound: bound)
 
 
 def test_cover_certifies_the_sweep_on_one_table_of_its_cover_plus_two(table_bounds):
@@ -548,21 +541,11 @@ def test_reflection_ceiling_bounds_h1_on_a_wider_paired_box():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count table builds and sweeps through the bindings the benchmark probe rebinds."""
-    calls = {"tables": 0, "sweeps": 0}
-
-    def count(name, module, attr):
-        fn = getattr(module, attr)
-
-        def counting(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, attr, counting)
-
-    count("tables", core, "min_stamp_table")
-    count("sweeps", analysis, "cover_profile")
-    return calls
+    """Count table builds and sweeps through the bindings the benchmark probe rebinds:
+    ``counted()`` is the count of each so far."""
+    tables = record_calls(monkeypatch, core, "min_stamp_table")
+    sweeps = record_calls(monkeypatch, analysis, "cover_profile")
+    return lambda: {"tables": len(tables), "sweeps": len(sweeps)}
 
 
 def test_reflection_short_cut_matches_a_sweep_on_small_symmetric_bases(counted):
@@ -572,12 +555,12 @@ def test_reflection_short_cut_matches_a_sweep_on_small_symmetric_bases(counted):
             h0 = compute_h0(basis)
             sigma = _sigma(basis)
             for cap in (h0, h0 + 2, None):
-                sweeps = counted["sweeps"]
+                sweeps = counted()["sweeps"]
                 report = analyze(basis, cap)
                 assert (report.h0, report.h1, report.h1_cap) == _swept_thresholds(
                     basis, cap
                 ), (basis, cap)
-                assert (counted["sweeps"] > sweeps) == (sigma > h0), (basis, cap)
+                assert (counted()["sweeps"] > sweeps) == (sigma > h0), (basis, cap)
             total += 1
             if sigma <= h0:
                 short += 1
@@ -587,8 +570,8 @@ def test_reflection_short_cut_matches_a_sweep_on_small_symmetric_bases(counted):
     for basis in (family_a9(3), family_a10(5)):  # h1 = h0 + 1: the sweep must run
         h0 = compute_h0(basis)
         assert _sigma(basis) > h0
-        sweeps = counted["sweeps"]
-        assert analyze(basis).h1 == h0 + 1 and counted["sweeps"] == sweeps + 1
+        sweeps = counted()["sweeps"]
+        assert analyze(basis).h1 == h0 + 1 and counted()["sweeps"] == sweeps + 1
 
 
 def _wide_symmetric_bases():
@@ -621,7 +604,7 @@ def test_reflection_ceiling_bounds_h1_on_wide_symmetric_bases(basis, extra, data
 def test_scan_sym4_builds_one_table_per_basis_and_sweeps_none(tmp_path, counted):
     out = tmp_path / "scan.jsonl"
     assert run_scan(ScanSpec(4, 280), str(out), threads=1) == ScanSummary(139, 0)
-    assert counted == {"tables": 139, "sweeps": 0}
+    assert counted() == {"tables": 139, "sweeps": 0}
     data = out.read_bytes()  # the bytes the sweep of every basis wrote
     assert len(data) == 20417
     assert hashlib.sha256(data).hexdigest() == (
@@ -641,7 +624,7 @@ def test_a_short_cut_basis_is_not_refused_a_sweep_it_skips(monkeypatch, capsys, 
     with pytest.raises(ValueError) as excinfo:
         analyze(basis, 2)
     assert str(excinfo.value) == "cap 2 is below the admissibility threshold 3"
-    assert counted["sweeps"] == 0
+    assert counted()["sweeps"] == 0
 
 
 def test_a_sure_sweep_is_refused_before_the_h0_table(monkeypatch, capsys, counted):
@@ -654,12 +637,12 @@ def test_a_sure_sweep_is_refused_before_the_h0_table(monkeypatch, capsys, counte
     assert str(excinfo.value) == message
     assert main(["analyze", "--basis", str(basis)]) == 3
     assert capsys.readouterr() == ("", f"error: OverflowLimitError: {message}\n")
-    assert counted == {"tables": 0, "sweeps": 0}
+    assert counted() == {"tables": 0, "sweeps": 0}
     # at top 5 the sweep stops by its ceiling 3, not at 64
     monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 3 * 5 + 1)
     with pytest.raises(OverflowLimitError, match="17 entries, limit is 16"):
         analyze(Basis((1, 3, 4, 5)))
-    assert counted == {"tables": 0, "sweeps": 0}
+    assert counted() == {"tables": 0, "sweeps": 0}
 
 
 def test_a_given_cap_is_judged_against_h0_after_one_table(capsys, counted):
@@ -674,7 +657,7 @@ def test_a_given_cap_is_judged_against_h0_after_one_table(capsys, counted):
         assert str(excinfo.value) == message
         assert main(["analyze", "--basis", str(basis), "--cap", str(cap)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert counted == {"tables": 2 * calls, "sweeps": 0}
+        assert counted() == {"tables": 2 * calls, "sweeps": 0}
     # from h0 on, the sweep to min(cap, top - 2) is refused before the dual's table
     message = "cover sweep would need 33340002 entries, limit is 16777216"
     with pytest.raises(OverflowLimitError) as excinfo:
@@ -682,12 +665,12 @@ def test_a_given_cap_is_judged_against_h0_after_one_table(capsys, counted):
     assert str(excinfo.value) == message
     assert main(["analyze", "--basis", str(basis), "--cap", "3334"]) == 3
     assert capsys.readouterr() == ("", f"error: OverflowLimitError: {message}\n")
-    assert counted == {"tables": 6, "sweeps": 0}
+    assert counted() == {"tables": 6, "sweeps": 0}
     # cap 0 is not read as the default
     with pytest.raises(ValueError) as excinfo:
         analyze(Basis((1, 3, 4, 5)), 0)
     assert str(excinfo.value) == "cap 0 is below the admissibility threshold 2"
-    assert counted == {"tables": 7, "sweeps": 0}
+    assert counted() == {"tables": 7, "sweeps": 0}
 
 
 def test_every_given_cap_on_a_small_paired_basis_waits_for_one_table(monkeypatch, counted):
@@ -697,15 +680,15 @@ def test_every_given_cap_on_a_small_paired_basis_waits_for_one_table(monkeypatch
         monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", basis.top + 2)
         h0 = compute_h0(basis)
         for cap in range(1, h0 + 2):
-            before = dict(counted)
+            before = counted()
             with pytest.raises(ValueError if cap < h0 else OverflowLimitError) as excinfo:
                 analyze(basis, cap)
             if cap < h0:
                 assert str(excinfo.value) == (
                     f"cap {cap} is below the admissibility threshold {h0}"
                 ), basis
-            assert counted["tables"] <= before["tables"] + 1, (basis, cap)
-            assert counted["sweeps"] == before["sweeps"], (basis, cap)
+            assert counted()["tables"] <= before["tables"] + 1, (basis, cap)
+            assert counted()["sweeps"] == before["sweeps"], (basis, cap)
             cases += 1
     assert cases == 7397
 

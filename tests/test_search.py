@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import tracemalloc
 
 import pytest
 
@@ -26,6 +24,7 @@ from stampcover import (
 )
 from stampcover.core import brute_force_cover
 from stampcover.errors import OverflowLimitError, TooLargeError
+from support import record_calls, traced_peak
 
 REPORT_KEYS = [
     "basis",
@@ -152,21 +151,18 @@ def test_scan_pool_is_bounded_by_the_cores_present(monkeypatch):
     # worker is ever started
     import concurrent.futures.process as process
 
-    sizes, halves = [], []
+    sizes, halves, shutdowns = [], [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
         def map(self, fn, iterable, chunksize=1):
             halves.append((len(iterable), chunksize))
             return map(fn, iterable)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            shutdowns.append((wait, cancel_futures))
 
     monkeypatch.setattr(process, "ProcessPoolExecutor", RecordingPool)
     spec = ScanSpec(k=4, ak_max=20)
@@ -177,7 +173,8 @@ def test_scan_pool_is_bounded_by_the_cores_present(monkeypatch):
         assert sizes.pop() == size
         # the box's 9 bases are one half, split into two chunks per worker
         assert halves.pop() == (9, math.ceil(9 / (2 * size)))
-    assert sizes == halves == []
+        assert shutdowns.pop() == (True, True)
+    assert sizes == halves == shutdowns == []
 
     # every half but the last holds _SCAN_HALF bases, split the same way
     box = ScanSpec(k=3, ak_max=95, mode="all")  # 4,371 bases of tops up to 95
@@ -185,6 +182,14 @@ def test_scan_pool_is_bounded_by_the_cores_present(monkeypatch):
     assert [report.basis for report in reports] == list(enumerate_all_bases(3, 95))
     full, rest = search._SCAN_HALF, 4371 % search._SCAN_HALF
     assert halves == [(full, math.ceil(full / 4))] * 2 + [(rest, math.ceil(rest / 4))]
+    assert shutdowns.pop() == (True, True)
+
+    # a scan closed after its first report holds the next half's map unstarted;
+    # only cancel_futures drops that half instead of running it
+    reports = scan_conjecture(box, threads=2)
+    next(reports)
+    reports.close()
+    assert shutdowns == [(True, True)]
 
 
 def test_scan_pool_draws_one_window_before_its_first_report(monkeypatch):
@@ -197,8 +202,9 @@ def test_scan_pool_draws_one_window_before_its_first_report(monkeypatch):
             yield basis
 
     monkeypatch.setattr(search, "enumerate_symmetric", counting)
-    # closing the scan waits for both halves in flight, so halves smaller than
-    # the real ones keep this test short; the bounded-pool test pins their size
+    # closing the scan still waits for the chunks already sent to the workers,
+    # so halves (and chunks) smaller than the real ones keep this test short;
+    # the bounded-pool test pins their size
     monkeypatch.setattr(search, "_SCAN_HALF", 256)
     reports = scan_conjecture(ScanSpec(9, 40), threads=2)
     try:
@@ -239,14 +245,7 @@ def test_scan_all_mode_covers_every_basis():
 def test_scan_validates_each_basis_once_past_its_enumerator(tmp_path, monkeypatch):
     # a symmetric basis is built as a tuple from its lower part and top,
     # and nothing downstream of the enumerator builds it again
-    builds = []
-    real_validate = Basis._validate
-
-    def counted(self):
-        builds.append(self.elements)
-        real_validate(self)
-
-    monkeypatch.setattr(Basis, "_validate", counted)
+    builds = record_calls(monkeypatch, Basis, "_validate", lambda self: self.elements)
     for spec in [
         ScanSpec(k=5, ak_max=20),
         ScanSpec(k=4, ak_max=20),
@@ -315,14 +314,7 @@ def test_resume_continues_after_the_last_record(tmp_path, monkeypatch):
     out = tmp_path / "head.jsonl"
     out.write_bytes(b"".join(expected.splitlines(keepends=True)[:5]))
 
-    analyzed = []
-    real_evaluate = search._evaluate
-
-    def recording(basis):
-        analyzed.append(basis)
-        return real_evaluate(basis)
-
-    monkeypatch.setattr(search, "_evaluate", recording)
+    analyzed = record_calls(monkeypatch, search, "_evaluate", lambda basis: basis)
     assert run_scan(spec, str(out), resume=True) == reference
     assert out.read_bytes() == expected
     assert analyzed == list(enumerate_symmetric(4, 16))[5:]
@@ -364,13 +356,9 @@ def test_resume_of_a_finished_file_does_not_hold_it(tmp_path, k9_top40_scan):
     # tuple free lists as full as it leaves them, whatever tests ran before:
     # tracemalloc counts a tuple parked there as still allocated
     assert run_scan(spec, str(out), resume=True) == reference
-    tracemalloc.start()
-    try:
+    with traced_peak() as probe:
         assert run_scan(spec, str(out), resume=True) == reference
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < size / 10
+    assert probe.peak < size / 10
     assert out.read_bytes() == data
 
 
@@ -664,14 +652,7 @@ def test_extremal_matches_table_dfs_prefix_for_prefix():
 
 
 def test_extremal_is_one_search(monkeypatch):
-    entries = []
-    original = search.search_extremal
-
-    def counted(*args, **kwargs):
-        entries.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(search, "search_extremal", counted)
+    entries = record_calls(monkeypatch, search, "search_extremal")
     assert search.search_extremal(3, 5).n_star == 36
     assert entries == [(3, 5)]  # no search for k - 1, ..., 1
 
@@ -731,28 +712,18 @@ def test_extremal_level_guard_fires_before_levels_are_built(monkeypatch):
         assert str(excinfo.value) == "levels would need 8450 bits, limit is 8320"
     # 4,097 levels of 8,194 bits would take about 4 MB
     monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 8194)
-    tracemalloc.start()
-    try:
-        with pytest.raises(OverflowLimitError, match="bits, limit is 524416$"):
-            search_extremal(4096, 2, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
+    with traced_peak() as probe, pytest.raises(OverflowLimitError, match="bits, limit is 524416$"):
+        search_extremal(4096, 2, 2)
+    assert probe.peak < 100_000
 
 
 @pytest.mark.parametrize(("h", "k"), [(300, 3), (3000, 2), (10**6, 10**6)])
 def test_extremal_refuses_a_box_that_cannot_fit_before_any_prefix(h, k):
     # sized from h, k alone: no prefix and no level is built, and
     # (10**6, 10**6) is refused before C(h + k - 1, k - 1) is computed
-    tracemalloc.start()
-    try:
-        with pytest.raises(OverflowLimitError):
-            search_extremal(h, k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
+    with traced_peak() as probe, pytest.raises(OverflowLimitError):
+        search_extremal(h, k)
+    assert probe.peak < 100_000
 
 
 def test_extremal_search_deeper_than_the_recursion_limit():
@@ -766,14 +737,10 @@ def test_extremal_search_holds_one_prefix():
     # a frame per slot that kept its own prefix tuple would hold
     # 600 * 601 / 2 element references, about 1.5 MiB; one shared path
     # holds 600
-    tracemalloc.start()
-    try:
+    with traced_peak() as probe:
         result = search_extremal(1, 600)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert result.n_star == 600
-    assert peak < 512 * 1024
+    assert probe.peak < 512 * 1024
 
 
 def test_extremal_one_denomination_needs_no_levels():

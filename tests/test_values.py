@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pickle
-import tracemalloc
 
 import pytest
 
@@ -23,6 +22,7 @@ from stampcover import (
     min_stamp_table,
     search_extremal,
 )
+from support import record_calls, traced_peak
 
 # (value, an equal value built another way, a different value, the repr
 # of the first: the frozen dataclasses' format over the fields)
@@ -177,14 +177,10 @@ def test_shared_constructor_names_what_it_takes():
 def test_profile_identity_costs_no_rows():
     profile = cover_profile(Basis((1, 2)), 2_000_000)
     twin = CoverProfile(Basis((1, 2)), 2_000_000, ())
-    tracemalloc.start()
-    try:
+    with traced_peak() as probe:
         assert profile == twin and hash(profile) == hash(twin)
         assert profile != cover_profile(Basis((1, 2)), 1_999_999)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert probe.peak < 1 << 20
     assert profile.saturated_at == 1 and profile.cover(2_000_000) == 4_000_000
 
 
@@ -194,14 +190,7 @@ def test_profile_refuses_more_covers_than_budgets():
 
 
 def test_unpickled_basis_is_not_validated_again(monkeypatch):
-    builds = []
-    real_validate = Basis._validate
-
-    def counted(self):
-        builds.append(self.elements)
-        real_validate(self)
-
-    monkeypatch.setattr(Basis, "_validate", counted)
+    builds = record_calls(monkeypatch, Basis, "_validate", lambda self: self.elements)
     data = pickle.dumps([Basis((1, 3, 4)), ScanFailure(Basis((1, 2)), "x")])
     assert builds == [(1, 3, 4), (1, 2)]
     restored = pickle.loads(data)

@@ -45,6 +45,9 @@ MUTANTS = [
      "analyze's proven-ceiling assertion disabled"),
     (ANALYSIS, "bound = max(h0, 2 * h0 - 2)", "bound = max(h0, 2 * h0 - 1)",
      "the reported theorem window max(h0, 2*h0 - 2) widened by one"),
+    (ANALYSIS, "    if rebuilt != value:\n"
+               "        raise AssertionError(\"reflection arithmetic is inconsistent\")\n",
+     "", "reflect_generation's self-check deleted"),
     (CORE, "max(1, top - 2)) if paired", "max(1, top - 3)) if paired",
      "a paired sweep sized and run to top - 3, one budget short"),
     (CORE, "grown = pair | (pair if paired else reach) << last", "grown = pair | reach << last",
@@ -79,6 +82,8 @@ MUTANTS = [
      "an extremal leaf whose last element is never added"),
     (SEARCH, "if slots == 2 and n > head_cover:", "if slots == 3 and n > head_cover:",
      "the derived extremal ceiling read off (k - 2)-prefixes"),
+    (SEARCH, "pool.shutdown(cancel_futures=True)", "pool.shutdown()",
+     "a pooled scan that stops early runs the half it prefetched instead of cancelling it"),
     (SEARCH, "            if obj[\"summary\"] != ScanSummary(scanned, counterexamples)._asdict():\n",
      "            if False:\n",
      "a resume accepts a finished file whose summary disagrees with its records"),
