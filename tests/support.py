@@ -1,5 +1,5 @@
-"""Helpers shared by the test modules: seeded random bases, a memory probe,
-a call recorder and a runner for CLI children.
+"""Helpers shared by the test modules: seeded random bases, memory probes,
+a call recorder, a runner for CLI children and the keys of a report record.
 
 The test modules import it as ``from support import ...``; pytest puts
 this directory on ``sys.path`` when it collects them.  The random-basis
@@ -21,6 +21,19 @@ import stampcover
 from stampcover import Basis, symmetrize_even, symmetrize_odd
 
 STAMPCOVER = (sys.executable, "-m", "stampcover")
+
+# the keys of a BasisReport record, in the order every writer prints them
+REPORT_KEYS = [
+    "basis",
+    "k",
+    "symmetric",
+    "h0",
+    "h1",
+    "h1_found",
+    "theorem_bound",
+    "conjecture_holds",
+    "counterexample",
+]
 
 
 def random_basis(rng: random.Random, max_k: int = 5, max_element: int = 12) -> Basis:
@@ -53,6 +66,20 @@ def traced_peak():
         probe.peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def warm_peak(call) -> int:
+    """The ``tracemalloc`` peak in bytes of ``call()``, run once untraced first.
+
+    tracemalloc counts a tuple parked in one of the interpreter's free lists
+    as allocated, so the peak of a first call depends on which tests ran
+    before it; the untraced call leaves those lists as full as ``call``
+    itself leaves them.
+    """
+    call()
+    with traced_peak() as probe:
+        call()
+    return probe.peak
 
 
 def record_calls(monkeypatch, owner, name: str, record=lambda *args, **kwargs: args) -> list:

@@ -33,9 +33,6 @@ from stampcover import (
 from stampcover.cli import main
 from support import random_basis, random_symmetric_basis
 
-A9 = family_a9(3)
-A10_5 = family_a10(5)
-
 
 def _best_of(repeats, fn):
     best = None
@@ -52,17 +49,18 @@ def _best_of(repeats, fn):
 
 def test_golden_values_and_latency():
     quad = Basis((1, 3, 6, 10))
+    a9, a10 = family_a9(3), family_a10(5)
 
     def quad_covers():
         assert [cover(quad, h) for h in (1, 2, 3)] == [1, 4, 23]
 
     def nine_covers():
-        assert [cover(A9, h) for h in (2, 3, 4)] == [6, 41, 112]
-        assert 112 == 4 * A9.top
+        assert [cover(a9, h) for h in (2, 3, 4)] == [6, 41, 112]
+        assert 112 == 4 * a9.top
 
     def ten_covers():
-        assert [cover(A10_5, h) for h in (4, 5, 6)] == [34, 132, 564]
-        assert 564 == 6 * A10_5.top
+        assert [cover(a10, h) for h in (4, 5, 6)] == [34, 132, 564]
+        assert 564 == 6 * a10.top
 
     quad_covers(), nine_covers(), ten_covers()  # warm-up and correctness
     assert _best_of(3, quad_covers) < 0.001
@@ -71,16 +69,16 @@ def test_golden_values_and_latency():
 
     assert compute_h0(quad) == 3
 
-    nine = analyze(A9)
+    nine = analyze(a9)
     assert (nine.h0, nine.h1) == (3, 4)
-    ten = analyze(A10_5)
+    ten = analyze(a10)
     assert (ten.h0, ten.h1) == (5, 6)
 
     assert str(family_a5(3)) == "1,3,5,8,20"
     assert str(family_a5(5)) == "1,5,7,12,47"
-    assert family_a9(3).elements == (1, 3, 5, 8, 20, 23, 25, 27, 28)
-    assert family_a10(5).elements == (1, 5, 7, 12, 47, 82, 87, 89, 93, 94)
-    diffs = tuple(b - a for a, b in zip((0,) + A9.elements, A9.elements))
+    assert a9.elements == (1, 3, 5, 8, 20, 23, 25, 27, 28)
+    assert a10.elements == (1, 5, 7, 12, 47, 82, 87, 89, 93, 94)
+    diffs = tuple(b - a for a, b in zip((0,) + a9.elements, a9.elements))
     assert diffs == (1, 2, 2, 3, 12, 3, 2, 2, 1)
 
 

@@ -28,14 +28,17 @@ from stampcover.errors import (
 )
 from support import random_basis, random_symmetric_basis
 
-A9 = parse_basis("1,3,5,8,20,23,25,27,28")
+
+def _a9() -> Basis:
+    """The smallest known counterexample, parsed when a test runs, not at collection."""
+    return parse_basis("1,3,5,8,20,23,25,27,28")
 
 
 # ---------- symmetry ----------
 
 
 def test_is_symmetric_golden():
-    assert is_symmetric(A9)
+    assert is_symmetric(_a9())
     assert is_symmetric(parse_basis("1"))
     assert is_symmetric(parse_basis("1,2"))
     assert is_symmetric(parse_basis("1,3,4"))
@@ -53,7 +56,7 @@ def test_symmetry_equals_palindromic_differences():
 
 
 def test_symmetrize_odd_golden():
-    assert symmetrize_odd(parse_basis("1,3,5,8,20")) == A9
+    assert symmetrize_odd(parse_basis("1,3,5,8,20")) == _a9()
     assert str(symmetrize_odd(parse_basis("1,5,7,12,47"))) == "1,5,7,12,47,52,54,58,59"
     assert str(symmetrize_odd(parse_basis("1,2"))) == "1,2,3"
 
@@ -93,7 +96,7 @@ def test_symmetrize_results_are_symmetric():
 
 def test_h0_golden():
     assert compute_h0(parse_basis("1,3,6,10")) == 3
-    assert compute_h0(A9) == 3
+    assert compute_h0(_a9()) == 3
     assert compute_h0(parse_basis("1")) == 2
     assert compute_h0(parse_basis("1,2")) == 2
 
@@ -110,16 +113,16 @@ def test_h0_matches_direct_cover_search():
 
 
 def test_h1_golden():
-    assert analyze(A9, 10).h1 == 4
+    assert analyze(_a9(), 10).h1 == 4
     assert analyze(parse_basis("1,2"), 2).h1 == 2
     assert analyze(parse_basis("1,3,6,10"), 8).h1 is None
 
 
 def test_h1_is_first_saturation():
     # the budget below the answer is admissible but not saturated
-    assert cover(A9, 3) == 41
-    assert 41 != 3 * A9.top
-    assert cover(A9, 4) == 112 == 4 * A9.top
+    assert cover(_a9(), 3) == 41
+    assert 41 != 3 * _a9().top
+    assert cover(_a9(), 4) == 112 == 4 * _a9().top
 
 
 def test_h1_rejects_cap_below_h0():
@@ -131,8 +134,8 @@ def test_h1_rejects_cap_below_h0():
 
 
 def test_reflect_golden_single_stamp():
-    gen = find_generation(A9, 1, 3)
-    reflected = reflect_generation(A9, gen, 3)
+    gen = find_generation(_a9(), 1, 3)
+    reflected = reflect_generation(_a9(), gen, 3)
     assert reflected.coefficients == (0, 0, 0, 0, 0, 0, 0, 1, 2)
     assert reflected.value == 83 == 3 * 28 - 1
     assert reflected.weight == 3
@@ -140,7 +143,7 @@ def test_reflect_golden_single_stamp():
 
 def test_reflect_golden_two_stamps():
     gen = Generation((0, 2, 0, 0, 0, 0, 0, 0, 0), 6, 2)
-    reflected = reflect_generation(A9, gen, 3)
+    reflected = reflect_generation(_a9(), gen, 3)
     assert reflected.coefficients == (0, 0, 0, 0, 0, 0, 2, 0, 1)
     assert reflected.value == 78 == 3 * 28 - 6
     assert reflected.weight == 3
@@ -162,27 +165,27 @@ def test_reflect_requires_symmetry():
 def test_reflect_rejects_overweight_generation():
     gen = Generation((4, 0, 0, 0, 0, 0, 0, 0, 0), 4, 4)
     with pytest.raises(WeightExceedsBudgetError):
-        reflect_generation(A9, gen, 3)
+        reflect_generation(_a9(), gen, 3)
 
 
 def test_reflect_rejects_top_element_use():
     # inconsistent on purpose: claims value 5 while using the top element
     gen = Generation((0, 0, 0, 0, 0, 0, 0, 0, 1), 5, 1)
     with pytest.raises(UsesTopElementError):
-        reflect_generation(A9, gen, 3)
+        reflect_generation(_a9(), gen, 3)
 
 
 def test_reflect_rejects_value_out_of_range():
     gen = Generation((0, 0, 0, 0, 0, 0, 0, 1, 0), 27, 1)
-    reflect_generation(A9, gen, 3)  # 27 < 28 is fine
+    reflect_generation(_a9(), gen, 3)  # 27 < 28 is fine
     bad = Generation((28, 0, 0, 0, 0, 0, 0, 0, 0), 28, 28)
     with pytest.raises(ValueError):
-        reflect_generation(A9, bad, 28)
+        reflect_generation(_a9(), bad, 28)
 
 
 def test_reflect_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        reflect_generation(A9, Generation((1, 0), 1, 1), 3)
+        reflect_generation(_a9(), Generation((1, 0), 1, 1), 3)
 
 
 def test_reflect_checks_its_own_arithmetic(monkeypatch):
@@ -214,7 +217,7 @@ def test_reflect_random_symmetric_cases():
 
 
 def test_analyze_golden_counterexample():
-    report = analyze(A9)
+    report = analyze(_a9())
     assert report.to_json_dict() == {
         "basis": "1,3,5,8,20,23,25,27,28",
         "k": 9,
@@ -264,7 +267,7 @@ def test_analyze_non_symmetric_never_counterexample():
 
 def test_analyze_default_caps():
     assert analyze(parse_basis("1,3,6,10")).h1_cap == 64
-    assert analyze(A9).h1_cap == 4  # the proven window for symmetric bases
+    assert analyze(_a9()).h1_cap == 4  # the proven window for symmetric bases
 
 
 def test_analyze_rejects_cap_below_h0():

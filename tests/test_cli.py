@@ -17,72 +17,13 @@ import stampcover.cli as cli
 import stampcover.core as core
 import stampcover.search as search
 from stampcover.cli import main
-from support import STAMPCOVER, child_env, run_child, traced_peak
+from support import REPORT_KEYS, STAMPCOVER, child_env, run_child, traced_peak
 
 A9_TEXT = "1,3,5,8,20,23,25,27,28"
 
 _REAL_EVALUATE = search._evaluate
 
-REPORT_KEYS = [
-    "basis",
-    "k",
-    "symmetric",
-    "h0",
-    "h1",
-    "h1_found",
-    "theorem_bound",
-    "conjecture_holds",
-    "counterexample",
-]
-
-
 # ---------- cover ----------
-
-
-def test_cover_table_is_a_bare_number(capsys):
-    assert main(["cover", "--basis", "1,3,6,10", "--h", "3", "--format", "table"]) == 0
-    assert capsys.readouterr().out == "23\n"
-
-
-def test_cover_json(capsys):
-    assert main(["cover", "--basis", "1,3,6,10", "--h", "3", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload == {"basis": "1,3,6,10", "h": 3, "cover": 23}
-
-
-def test_cover_default_format_is_json_when_not_a_terminal(capsys):
-    assert main(["cover", "--basis", "1,3", "--h", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["cover"] == 4
-
-
-def test_cover_json_round_trips(capsys):
-    main(["cover", "--basis", "1,3,6,10", "--h", "2", "--format", "json"])
-    out = capsys.readouterr().out
-    assert json.dumps(json.loads(out), indent=2) + "\n" == out
-
-
-def test_cover_profile_table(capsys):
-    code = main(
-        ["cover", "--basis", "1,2", "--h", "3", "--profile", "--format", "table"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert out.splitlines() == [
-        "basis = 1,2",
-        "h=1 cover=2  saturated",
-        "h=2 cover=4  saturated",
-        "h=3 cover=6  saturated",
-    ]
-
-
-def test_cover_profile_json(capsys):
-    main(["cover", "--basis", "1,3,6,10", "--h", "3", "--profile", "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["rows"] == [
-        {"h": 1, "cover": 1, "saturated": False},
-        {"h": 2, "cover": 4, "saturated": False},
-        {"h": 3, "cover": 23, "saturated": False},
-    ]
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "jsonl"])
@@ -123,67 +64,6 @@ def test_cover_profile_refuses_more_rows_than_the_table_limit(tmp_path, monkeypa
     assert capsys.readouterr().err == (
         "error: OverflowLimitError: cover sweep would need 35 entries, limit is 10\n"
     )
-
-
-# ---------- analyze ----------
-
-
-def test_analyze_json_golden(capsys):
-    assert main(["analyze", "--basis", A9_TEXT, "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == REPORT_KEYS
-    assert payload["h0"] == 3
-    assert payload["h1"] == 4
-    assert payload["counterexample"] is True
-
-
-def test_analyze_table(capsys):
-    assert main(["analyze", "--basis", "1,2,3", "--format", "table"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert "conjecture_holds = true" in lines
-    assert any(line.startswith("h0 ") and line.endswith("= 2") for line in lines)
-
-
-def test_analyze_exit_4_when_no_saturation_within_cap(capsys):
-    code = main(
-        ["analyze", "--basis", "1,3,6,10", "--cap", "5", "--format", "json"]
-    )
-    assert code == 4
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["h1"] is None
-    assert payload["h1_found"] is False
-
-
-def test_analyze_table_reports_missing_h1(capsys):
-    main(["analyze", "--basis", "1,3,6,10", "--cap", "5", "--format", "table"])
-    assert "not found within cap 5" in capsys.readouterr().out
-
-
-def test_analyze_rejects_cap_below_threshold(capsys):
-    code = main(["analyze", "--basis", "1,3,6,10", "--cap", "2"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-
-
-# ---------- family ----------
-
-
-def test_family_table(capsys):
-    assert main(["family", "--kind", "a10", "--p", "5", "--format", "table"]) == 0
-    assert capsys.readouterr().out == "1,5,7,12,47,82,87,89,93,94\n"
-
-
-def test_family_json(capsys):
-    assert main(["family", "--kind", "a5", "--p", "3", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload == {"kind": "a5", "p": 3, "basis": "1,3,5,8,20", "k": 5}
-
-
-def test_family_rejects_bad_parameters(capsys):
-    assert main(["family", "--kind", "a9", "--p", "4"]) == 2
-    assert main(["family", "--kind", "a10", "--p", "3"]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err
 
 
 # ---------- scan ----------
@@ -229,15 +109,6 @@ def test_scan_exit_5_on_counterexample(tmp_path, capsys):
         if '"counterexample":true' in line
     ]
     assert [record["basis"] for record in flagged] == [A9_TEXT]
-
-
-def test_scan_threads_byte_identical(tmp_path):
-    serial = tmp_path / "serial.jsonl"
-    pooled = tmp_path / "pooled.jsonl"
-    args = ["scan", "--k", "4", "--ak-max", "20"]
-    assert main(args + ["--out", str(serial), "--threads", "1"]) == 0
-    assert main(args + ["--out", str(pooled), "--threads", "4"]) == 0
-    assert serial.read_bytes() == pooled.read_bytes()
 
 
 def test_scan_resume_via_cli(tmp_path):
@@ -384,44 +255,6 @@ def test_scan_has_no_cap_option(tmp_path, capsys):
     assert not out.exists()
 
 
-# ---------- extremal ----------
-
-
-def test_extremal_table(capsys):
-    code = main(["extremal", "--h", "3", "--k", "3", "--format", "table"])
-    assert code == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "n_star = 15  (h=3, k=3, top <= 8)"
-    assert out[1:] == ["  1,4,5"]
-
-
-def test_extremal_json(capsys):
-    assert main(["extremal", "--h", "2", "--k", "2", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload == {
-        "h": 2,
-        "k": 2,
-        "ak_ceiling": 3,
-        "n_star": 4,
-        "witnesses": ["1,2", "1,3"],
-    }
-
-
-def test_extremal_exit_6_when_too_large(capsys):
-    assert main(["extremal", "--h", "9", "--k", "9"]) == 6
-    # the refusal names the box asked for, not a level below it
-    assert capsys.readouterr().err == (
-        "error: TooLargeError: h=9, k=9: more than 100000 prefixes\n"
-    )
-
-
-def test_extremal_exit_6_on_a_search_deeper_than_the_recursion_limit(capsys):
-    assert main(["extremal", "--h", "2", "--k", "1100"]) == 6
-    assert capsys.readouterr().err == (
-        "error: TooLargeError: h=2, k=1100: more than 100000 prefixes\n"
-    )
-
-
 # ---------- batch input ----------
 
 
@@ -527,11 +360,6 @@ def test_basis_file_errors_past_parsing_name_the_line(tmp_path, capsys):
         f"error: OverflowLimitError: {batch}:2: cover sweep would need 40000002 entries,"
         " limit is 16777216\n"
     )
-    # a single --basis keeps its bare message
-    assert main(["analyze", "--basis", "1,3,10", "--cap", "3"]) == 2
-    assert capsys.readouterr().err == "error: cap 3 is below the admissibility threshold 4\n"
-    assert main(["analyze", "--basis", "1,3,4999999,5000000"]) == 3
-    assert capsys.readouterr().err == f"error: OverflowLimitError: {message}\n"
 
 
 def test_basis_file_must_not_be_empty(tmp_path, capsys):
@@ -547,7 +375,9 @@ def test_missing_basis_file_is_invalid_input(capsys):
 # ---------- golden bytes ----------
 
 # Every output format of every answering command, stdout and exit code
-# byte for byte. A basis file always gives JSONL, whatever --format says.
+# byte for byte, with nothing on stderr. A basis file always gives JSONL,
+# whatever --format says; with no --format, stdout that is not a terminal
+# gets JSON. tools/cli_diff.py replays these rows and ERRORS on two trees.
 GOLDEN_BASES = "1,3,5\n# a comment\n\n1,4,5\n1,3,5,8,20,23,25,27,28\n"
 
 GOLDEN = [
@@ -566,6 +396,16 @@ GOLDEN = [
             'h=3 cover=15  saturated\n'
             'h=4 cover=20  saturated\n'
             'h=5 cover=25  saturated\n'
+        ),
+    ),
+    (
+        "cover --basis 1,2 --h 3 --profile --format table",
+        0,
+        (
+            'basis = 1,2\n'
+            'h=1 cover=2  saturated\n'
+            'h=2 cover=4  saturated\n'
+            'h=3 cover=6  saturated\n'
         ),
     ),
     (
@@ -599,9 +439,29 @@ GOLDEN = [
         ),
     ),
     (
+        "analyze --basis 1,2,3 --format table",
+        0,
+        (
+            'basis            = 1,2,3\n'
+            'k                = 3\n'
+            'symmetric        = true\n'
+            'h0               = 2\n'
+            'h1               = 2\n'
+            'h1_found         = true\n'
+            'theorem_bound    = 2\n'
+            'conjecture_holds = true\n'
+            'counterexample   = false\n'
+        ),
+    ),
+    (
         "family --kind a9 --p 3 --format table",
         0,
         '1,3,5,8,20,23,25,27,28\n',
+    ),
+    (
+        "family --kind a10 --p 5 --format table",
+        0,
+        '1,5,7,12,47,82,87,89,93,94\n',
     ),
     (
         "extremal --h 3 --k 3 --format table",
@@ -609,6 +469,17 @@ GOLDEN = [
         (
             'n_star = 15  (h=3, k=3, top <= 8)\n'
             '  1,4,5\n'
+        ),
+    ),
+    (
+        "cover --basis 1,3 --h 2",
+        0,
+        (
+            '{\n'
+            '  "basis": "1,3",\n'
+            '  "h": 2,\n'
+            '  "cover": 4\n'
+            '}\n'
         ),
     ),
     (
@@ -733,6 +604,11 @@ GOLDEN = [
         ),
     ),
     (
+        "cover --basis 1,3,6,10 --h 3 --profile --format jsonl",
+        0,
+        '{"basis":"1,3,6,10","h_max":3,"rows":[{"h":1,"cover":1,"saturated":false},{"h":2,"cover":4,"saturated":false},{"h":3,"cover":23,"saturated":false}]}\n',
+    ),
+    (
         "analyze --basis 1,3,5,8,20,23,25,27,28 --format jsonl",
         0,
         (
@@ -752,9 +628,19 @@ GOLDEN = [
         '{"kind":"a9","p":3,"basis":"1,3,5,8,20,23,25,27,28","k":9}\n',
     ),
     (
+        "family --kind a5 --p 3 --format jsonl",
+        0,
+        '{"kind":"a5","p":3,"basis":"1,3,5,8,20","k":5}\n',
+    ),
+    (
         "extremal --h 3 --k 3 --format jsonl",
         0,
         '{"h":3,"k":3,"ak_ceiling":8,"n_star":15,"witnesses":["1,4,5"]}\n',
+    ),
+    (
+        "extremal --h 2 --k 2 --format jsonl",
+        0,
+        '{"h":2,"k":2,"ak_ceiling":3,"n_star":4,"witnesses":["1,2","1,3"]}\n',
     ),
     (
         "cover --basis-file BASES --h 3 --format table",
@@ -821,25 +707,46 @@ def test_answers_reach_stdout_only_through_emit(tmp_path, monkeypatch, capsys):
                for lines in emitted)
 
 
-# ---------- exit codes and argument errors ----------
+# ---------- refusals and argument errors ----------
+
+# Each refusal of input that argparse accepts: exit code and stderr byte
+# for byte, with nothing on stdout. Argparse's own usage errors are tested
+# below, since their text wraps with the terminal's width.
+ERRORS = [
+    ("cover --basis 2,3 --h 2", 2,
+     "error: NotStartingAtOneError: smallest element must be 1, got 2\n"),
+    ("cover --basis 1,abc --h 2", 2, "error: InvalidBasisError: 'abc' is not an integer\n"),
+    ("cover --basis 1,3,3 --h 2", 2,
+     "error: NotIncreasingError: elements must be strictly increasing (3 then 3)\n"),
+    ("analyze --basis 1,3,0", 2, "error: NonPositiveError: element 0 is not positive\n"),
+    # the element 2^63 parses, and its sweep is refused by its size (exit 3)
+    ("cover --basis 1,9223372036854775808 --h 2", 3,
+     "error: OverflowLimitError: cover sweep would need 18446744073709551618 entries,"
+     " limit is 16777216\n"),
+    ("analyze --basis 1,3,6,10 --cap 2", 2,
+     "error: cap 2 is below the admissibility threshold 3\n"),
+    ("analyze --basis 1,3,10 --cap 3", 2,
+     "error: cap 3 is below the admissibility threshold 4\n"),
+    # refused at the default cap before any table is built
+    ("analyze --basis 1,3,4999999,5000000", 3,
+     "error: OverflowLimitError: cover sweep would need 320000002 entries,"
+     " limit is 16777216\n"),
+    ("family --kind a9 --p 4", 2, "error: BadParameterError: p must be odd, got 4\n"),
+    ("family --kind a10 --p 3", 2, "error: BadParameterError: p must be at least 5, got 3\n"),
+    # the refusal names the box asked for, not a level below it
+    ("extremal --h 9 --k 9", 6, "error: TooLargeError: h=9, k=9: more than 100000 prefixes\n"),
+    # a search deeper than the recursion limit
+    ("extremal --h 2 --k 1100", 6,
+     "error: TooLargeError: h=2, k=1100: more than 100000 prefixes\n"),
+    ("extremal --h 3000 --k 2", 3,
+     "error: OverflowLimitError: levels would need 27018009002 bits, limit is 1073741824\n"),
+]
 
 
-def test_invalid_basis_exits_2(capsys):
-    assert main(["cover", "--basis", "2,3", "--h", "2"]) == 2
-    assert main(["cover", "--basis", "1,abc", "--h", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err
-
-
-def test_error_message_names_the_defect(capsys):
-    assert main(["cover", "--basis", "1,3,3", "--h", "2"]) == 2
-    assert "NotIncreasing" in capsys.readouterr().err
-
-
-def test_overflow_exits_3(capsys):
-    big = str(2**63)
-    assert main(["cover", "--basis", f"1,{big}", "--h", "2"]) == 3
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize(("args", "code", "err"), ERRORS, ids=[c[0] for c in ERRORS])
+def test_error_output(args, code, err, capsys):
+    assert main(args.split()) == code
+    assert capsys.readouterr() == ("", err)
 
 
 def test_argparse_usage_errors_exit_2(capsys):

@@ -24,19 +24,7 @@ from stampcover import (
 )
 from stampcover.core import brute_force_cover
 from stampcover.errors import OverflowLimitError, TooLargeError
-from support import record_calls, traced_peak
-
-REPORT_KEYS = [
-    "basis",
-    "k",
-    "symmetric",
-    "h0",
-    "h1",
-    "h1_found",
-    "theorem_bound",
-    "conjecture_holds",
-    "counterexample",
-]
+from support import REPORT_KEYS, record_calls, warm_peak
 
 
 # ---------- enumeration ----------
@@ -352,13 +340,11 @@ def test_resume_of_a_finished_file_does_not_hold_it(tmp_path, k9_top40_scan):
     out = tmp_path / "done.jsonl"
     out.write_bytes(data)
     size = out.stat().st_size
-    # an untraced resume first, so that the traced one finds the interpreter's
-    # tuple free lists as full as it leaves them, whatever tests ran before:
-    # tracemalloc counts a tuple parked there as still allocated
-    assert run_scan(spec, str(out), resume=True) == reference
-    with traced_peak() as probe:
+
+    def resume():
         assert run_scan(spec, str(out), resume=True) == reference
-    assert probe.peak < size / 10
+
+    assert warm_peak(resume) < size / 10
     assert out.read_bytes() == data
 
 
@@ -712,18 +698,23 @@ def test_extremal_level_guard_fires_before_levels_are_built(monkeypatch):
         assert str(excinfo.value) == "levels would need 8450 bits, limit is 8320"
     # 4,097 levels of 8,194 bits would take about 4 MB
     monkeypatch.setattr(core, "DEFAULT_TABLE_LIMIT", 8194)
-    with traced_peak() as probe, pytest.raises(OverflowLimitError, match="bits, limit is 524416$"):
-        search_extremal(4096, 2, 2)
-    assert probe.peak < 100_000
+
+    def refused():
+        with pytest.raises(OverflowLimitError, match="bits, limit is 524416$"):
+            search_extremal(4096, 2, 2)
+
+    assert warm_peak(refused) < 100_000
 
 
 @pytest.mark.parametrize(("h", "k"), [(300, 3), (3000, 2), (10**6, 10**6)])
 def test_extremal_refuses_a_box_that_cannot_fit_before_any_prefix(h, k):
     # sized from h, k alone: no prefix and no level is built, and
     # (10**6, 10**6) is refused before C(h + k - 1, k - 1) is computed
-    with traced_peak() as probe, pytest.raises(OverflowLimitError):
-        search_extremal(h, k)
-    assert probe.peak < 100_000
+    def refused():
+        with pytest.raises(OverflowLimitError):
+            search_extremal(h, k)
+
+    assert warm_peak(refused) < 100_000
 
 
 def test_extremal_search_deeper_than_the_recursion_limit():
@@ -737,10 +728,10 @@ def test_extremal_search_holds_one_prefix():
     # a frame per slot that kept its own prefix tuple would hold
     # 600 * 601 / 2 element references, about 1.5 MiB; one shared path
     # holds 600
-    with traced_peak() as probe:
-        result = search_extremal(1, 600)
-    assert result.n_star == 600
-    assert probe.peak < 512 * 1024
+    def search():
+        assert search_extremal(1, 600).n_star == 600
+
+    assert warm_peak(search) < 512 * 1024
 
 
 def test_extremal_one_denomination_needs_no_levels():

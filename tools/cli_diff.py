@@ -4,10 +4,11 @@ Every case is one ``python -m stampcover`` command, run once with each
 tree on ``PYTHONPATH``.  A case differs when its stdout, stderr, exit
 code or ``--out`` bytes differ between the trees.  The cases are:
 
-- the ``GOLDEN`` commands of ``tests/test_cli.py``, with its ``BASES`` file;
-- the ``ERRORS`` commands: refusals and invalid input, each within about
-  1.5 s (a cap given on a 5 * 10^6 top waits for its h0 table), two of
-  them on the ``BAD_FILES`` basis files;
+- the ``GOLDEN`` commands of ``tests/test_cli.py``, with its ``BASES``
+  file, and its ``ERRORS`` commands, the refusals that tier-1 pins;
+- the ``REFUSALS`` outside those tables: a cap given on a 5 * 10^6 top,
+  which waits about 1.5 s for its h0 table, and one refusal on each
+  ``BAD_FILES`` basis file, whose message names the file;
 - the ``PROFILES`` commands: a 100,000-row profile in each JSON format;
 - the ``EDGES`` commands, at the edge of a size rule: a paired basis and
   an unpaired one at h = 10^7, an extremal search 1,200 slots deep,
@@ -55,13 +56,8 @@ SCANS = [(9, 40, "symmetric"), (5, 25, "all"), (4, 280, "symmetric"), (7, 60, "s
          (3, 13, "symmetric"), (2, 9, "symmetric"), (1, 5, "symmetric")]
 POOLED = SCANS[:2]  # scanned again on a pool of two workers
 BAD_FILES = {"NONPOSITIVE": "1,3\n1,3,0\n", "WIDE": "1,2\n1,18446744073709551616\n"}
-ERRORS = [
-    "analyze --basis 1,3,4999999,5000000",
+REFUSALS = [
     "analyze --basis 1,3,4999999,5000000 --cap 5",
-    "cover --basis 1,9223372036854775808 --h 2",
-    "analyze --basis 1,3,0",
-    "extremal --h 2 --k 1100",
-    "extremal --h 3000 --k 2",
     "analyze --basis-file NONPOSITIVE",
     "cover --basis-file WIDE --h 2",
 ]
@@ -85,15 +81,15 @@ EDGES = [
 
 
 def _golden() -> tuple[str, list[str]]:
-    """``GOLDEN_BASES`` and each ``GOLDEN`` command, read off the test module."""
+    """``GOLDEN_BASES`` and each ``GOLDEN`` and ``ERRORS`` command, read off the test module."""
     tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8"))
     found = {
         node.targets[0].id: ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
-        and node.targets[0].id in ("GOLDEN", "GOLDEN_BASES")
+        and node.targets[0].id in ("GOLDEN", "ERRORS", "GOLDEN_BASES")
     }
-    return found["GOLDEN_BASES"], [args for args, _, _ in found["GOLDEN"]]
+    return found["GOLDEN_BASES"], [args for args, _, _ in found["GOLDEN"] + found["ERRORS"]]
 
 
 def _cases(tmp: pathlib.Path, seeds: int) -> list[list[str]]:
@@ -104,7 +100,7 @@ def _cases(tmp: pathlib.Path, seeds: int) -> list[list[str]]:
         (tmp / f"{name}.txt").write_text(text, encoding="utf-8")
     cases = [
         [str(tmp / f"{arg}.txt") if arg in files else arg for arg in args.split()]
-        for args in golden + ERRORS + PROFILES + EDGES
+        for args in golden + REFUSALS + PROFILES + EDGES
     ]
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import batch_bases

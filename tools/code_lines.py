@@ -1,11 +1,12 @@
-"""Count the code lines of the stampcover package.
+"""Count the code lines of the stampcover package and of its tests.
 
 A code line is a physical line of ``src/stampcover/*.py`` that holds at
 least one real token (not a comment, blank line, newline or indentation
 marker) and is not part of a docstring (a module, class or function body
 that opens with a string literal).  Stdlib only; run from anywhere as
 ``python3 tools/code_lines.py``: it prints one count per module, then the
-total on the last line.
+total of ``tests/*.py`` by the same rule, then the package's total on the
+last line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import io
 import pathlib
 import tokenize
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "stampcover"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "stampcover"
 
 _LAYOUT = {
     tokenize.COMMENT,
@@ -54,6 +56,8 @@ def main() -> None:
         count = code_lines(path)
         total += count
         print(f"{count:6d}  {path.name}")
+    tests = sum(code_lines(path) for path in (ROOT / "tests").glob("*.py"))
+    print(f"{tests:6d}  tests/*.py")
     print(f"{total:6d}  total")
 
 

@@ -3,10 +3,13 @@
 Each mutant replaces one exact text of one file under ``src/`` (it must
 occur there exactly once) in a copy of ``src/``, ``tests/`` and
 ``pyproject.toml`` in a temporary directory, and runs
-``python -m pytest -x -q`` there.  A mutant is killed when the run
-fails or times out, and survives when it passes.  The unmutated copy
-runs first and must pass; its time, times 5, plus 30 s, bounds each
-mutant's run.  Bytecode is not written, so no mutant can load another's.
+``python -m pytest -x -q`` there.  A mutant is killed when a test
+fails or the run times out, and survives when it passes.  A mutant that
+makes a test module fail to import is reported as a collection error in
+that file: no test ran, so it is neither killed nor survived.  The
+unmutated copy runs first and must pass; its time, times 5, plus 30 s,
+bounds each mutant's run.  Bytecode is not written, so no mutant can
+load another's.
 
 ``MUTANTS`` must all be killed.  ``EQUIVALENT`` holds mutants that change
 no answer, each with its proof; they must all survive, since a test that
@@ -107,11 +110,13 @@ EQUIVALENT = [
      "at budget 1 before any drop)"),
 ]
 
-_FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+# a summary line: "FAILED <test id, which may hold spaces> - <message>"
+_FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
 
 
-def _pytest(tree: pathlib.Path, timeout: float | None) -> tuple[bool, str]:
-    """(passed, first failing test or why the run was cut) of tier-1 on ``tree``."""
+def _pytest(tree: pathlib.Path, timeout: float | None) -> tuple[str, str]:
+    """(verdict, why) of tier-1 on ``tree``: "survived", "killed" by its first
+    failing test or the timeout, or "collection error" in a test module."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
@@ -121,11 +126,15 @@ def _pytest(tree: pathlib.Path, timeout: float | None) -> tuple[bool, str]:
             text=True, timeout=timeout,
         )
     except subprocess.TimeoutExpired:
-        return False, f"timed out after {timeout:.0f} s"
+        return "killed", f"timed out after {timeout:.0f} s"
     if done.returncode == 0:
-        return True, ""
+        return "survived", ""
     found = _FIRST_FAILURE.search(done.stdout)
-    return False, found.group(1) if found else f"pytest exited {done.returncode}"
+    if not found:
+        return "killed", f"pytest exited {done.returncode}"
+    if "::" not in found.group(1):  # a module, not a test: it failed to import
+        return "collection error", f"in {found.group(1)}"
+    return "killed", f"by {found.group(1)}"
 
 
 def main() -> int:
@@ -143,9 +152,9 @@ def main() -> int:
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tree)
         start = time.perf_counter()
-        passed, why = _pytest(tree, None)
-        if not passed:
-            print(f"mutate: the unmutated tests fail ({why})")
+        verdict, why = _pytest(tree, None)
+        if verdict != "survived":
+            print(f"mutate: the unmutated tests fail ({verdict} {why})")
             return 2
         timeout = 5 * (time.perf_counter() - start) + 30
         wrong = 0
@@ -153,15 +162,14 @@ def main() -> int:
             target = tree / path
             target.write_text(originals[path].replace(old, new), encoding="utf-8")
             try:
-                survived, why = _pytest(tree, timeout)
+                verdict, why = _pytest(tree, timeout)
             finally:
                 target.write_text(originals[path], encoding="utf-8")
-            wrong += survived != equivalent
-            verdict = "survived" if survived else "killed"
+            wrong += verdict != ("survived" if equivalent else "killed")
             what = f"{old.strip()} -> {new.strip()} (equivalent)" if equivalent else reason
             print(f"{number:2} {verdict:8} {path}: {what}", flush=True)
             if why:
-                print(f"   by {why}", flush=True)
+                print(f"   {why}", flush=True)
     print(f"{len(cases)} mutants, {wrong} not as listed")
     return 1 if wrong else 0
 
