@@ -26,6 +26,23 @@ _REAL_EVALUATE = search._evaluate
 # ---------- cover ----------
 
 
+def test_cover_table_is_a_bare_number(capsys):
+    assert main(["cover", "--basis", "1,3,6,10", "--h", "3", "--format", "table"]) == 0
+    assert capsys.readouterr().out == "23\n"
+
+
+def test_cover_json(capsys):
+    assert main(["cover", "--basis", "1,3,6,10", "--h", "3", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"basis": "1,3,6,10", "h": 3, "cover": 23}
+
+
+def test_cover_json_round_trips(capsys):
+    main(["cover", "--basis", "1,3,6,10", "--h", "2", "--format", "json"])
+    out = capsys.readouterr().out
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "jsonl"])
 def test_cover_profile_prints_each_row_as_it_is_made(monkeypatch, fmt):
     # holding 20000 row dicts before the first line takes over 5 MB, and
@@ -64,6 +81,33 @@ def test_cover_profile_refuses_more_rows_than_the_table_limit(tmp_path, monkeypa
     assert capsys.readouterr().err == (
         "error: OverflowLimitError: cover sweep would need 35 entries, limit is 10\n"
     )
+
+
+# ---------- analyze ----------
+
+
+def test_analyze_json_golden(capsys):
+    assert main(["analyze", "--basis", A9_TEXT, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == REPORT_KEYS
+    assert payload["h0"] == 3
+    assert payload["h1"] == 4
+    assert payload["counterexample"] is True
+
+
+def test_analyze_exit_4_when_no_saturation_within_cap(capsys):
+    code = main(
+        ["analyze", "--basis", "1,3,6,10", "--cap", "5", "--format", "json"]
+    )
+    assert code == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["h1"] is None
+    assert payload["h1_found"] is False
+
+
+def test_analyze_table_reports_missing_h1(capsys):
+    main(["analyze", "--basis", "1,3,6,10", "--cap", "5", "--format", "table"])
+    assert "not found within cap 5" in capsys.readouterr().out
 
 
 # ---------- scan ----------
@@ -109,6 +153,15 @@ def test_scan_exit_5_on_counterexample(tmp_path, capsys):
         if '"counterexample":true' in line
     ]
     assert [record["basis"] for record in flagged] == [A9_TEXT]
+
+
+def test_scan_threads_byte_identical(tmp_path):
+    serial = tmp_path / "serial.jsonl"
+    pooled = tmp_path / "pooled.jsonl"
+    args = ["scan", "--k", "4", "--ak-max", "20"]
+    assert main(args + ["--out", str(serial), "--threads", "1"]) == 0
+    assert main(args + ["--out", str(pooled), "--threads", "4"]) == 0
+    assert serial.read_bytes() == pooled.read_bytes()
 
 
 def test_scan_resume_via_cli(tmp_path):
@@ -253,6 +306,17 @@ def test_scan_has_no_cap_option(tmp_path, capsys):
     assert main(args) == 2
     assert "unrecognized arguments: --h-cap 5" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------- extremal ----------
+
+
+def test_extremal_table(capsys):
+    code = main(["extremal", "--h", "3", "--k", "3", "--format", "table"])
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "n_star = 15  (h=3, k=3, top <= 8)"
+    assert out[1:] == ["  1,4,5"]
 
 
 # ---------- batch input ----------

@@ -284,6 +284,20 @@ def test_cover_rejects_non_positive_budget():
         brute_force_cover(parse_basis("1,3"), 0)
 
 
+def test_cover_matches_brute_force_small_box():
+    for k in range(1, 4):
+        if k == 1:
+            bases = [Basis((1,))]
+        else:
+            bases = [
+                Basis((1,) + rest)
+                for rest in itertools.combinations(range(2, 11), k - 1)
+            ]
+        for basis in bases:
+            for h in range(1, 4):
+                assert cover(basis, h) == brute_force_cover(basis, h)
+
+
 def test_cover_profile_agrees_with_cover():
     rng = random.Random(4242)
     for _ in range(20):

@@ -94,18 +94,27 @@ def test_sweep_matches_table_and_brute_force_exhaustively():
     checked = 0
     for basis in _bases_up_to(5, 16):
         expected = _table_covers(basis, h_max)
-        profile = cover_profile(basis, h_max)
-        assert profile.basis == basis and profile.h_max == h_max
-        assert [profile.cover(h) for h in range(1, h_max + 1)] == expected, basis
-        saturated = [h for h, n in enumerate(expected, start=1) if n == h * basis.top]
-        first = saturated[0] if saturated else None
-        assert profile.saturated_at == first, basis
-        assert saturated == list(range(first or h_max + 1, h_max + 1)), basis  # stays saturated
+        rows = _profile_rows(basis, h_max)
+        assert [n for _, n, _ in rows] == expected, basis
+        assert [saturated for _, _, saturated in rows] == [
+            n == h * basis.top for h, n in enumerate(expected, start=1)
+        ]
         for h, n in enumerate(expected, start=1):
             assert cover(basis, h) == n
             assert brute_force_cover(basis, h) == n, (basis, h)
         checked += 1
     assert checked == 1941
+
+
+def test_profile_answers_every_budget_and_its_saturation_exhaustively():
+    h_max = 6
+    for basis in _bases_up_to(5, 16):
+        expected = _table_covers(basis, h_max)
+        profile = cover_profile(basis, h_max)
+        assert profile.basis == basis and profile.h_max == h_max
+        assert [profile.cover(h) for h in range(1, h_max + 1)] == expected, basis
+        saturated = [h for h, n in enumerate(expected, start=1) if n == h * basis.top]
+        assert profile.saturated_at == (saturated[0] if saturated else None), basis
     for h in (0, h_max + 1):
         with pytest.raises(ValueError):
             profile.cover(h)
