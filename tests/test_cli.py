@@ -294,9 +294,10 @@ def test_sigkilled_scan_resumes_to_identical_bytes(tmp_path, k9_top40_scan):
     assert len(killed) < len(reference.read_bytes())
 
 
-def test_scan_rejects_impossible_box(capsys):
-    assert main(["scan", "--k", "5", "--ak-max", "3", "--out", "/tmp/na.jsonl"]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_scan_rejects_impossible_box(tmp_path, capsys):
+    out = tmp_path / "na.jsonl"
+    assert main(["scan", "--k", "5", "--ak-max", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: ak_max 3 cannot fit 5 increasing elements\n")
 
 
 def test_scan_has_no_cap_option(tmp_path, capsys):
@@ -430,10 +431,14 @@ def test_basis_file_must_not_be_empty(tmp_path, capsys):
     batch = tmp_path / "empty.txt"
     batch.write_text("# nothing here\n", encoding="utf-8")
     assert main(["cover", "--basis-file", str(batch), "--h", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: InvalidBasisError: {batch}: no bases found\n")
 
 
 def test_missing_basis_file_is_invalid_input(capsys):
     assert main(["cover", "--basis-file", "/nonexistent/x.txt", "--h", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: [Errno 2] No such file or directory: '/nonexistent/x.txt'\n"
+    )
 
 
 # ---------- golden bytes ----------
@@ -543,6 +548,96 @@ GOLDEN = [
             '  "basis": "1,3",\n'
             '  "h": 2,\n'
             '  "cover": 4\n'
+            '}\n'
+        ),
+    ),
+    # at the edge of a size rule: a paired basis at h = 10^7, and the
+    # basis {1} at h = 2 * 10^7 as a cover and as an extremal box, each
+    # swept only to the budget it saturates by
+    (
+        "cover --basis 1,2 --h 10000000",
+        0,
+        (
+            '{\n'
+            '  "basis": "1,2",\n'
+            '  "h": 10000000,\n'
+            '  "cover": 20000000\n'
+            '}\n'
+        ),
+    ),
+    (
+        "cover --basis 1 --h 20000000",
+        0,
+        (
+            '{\n'
+            '  "basis": "1",\n'
+            '  "h": 20000000,\n'
+            '  "cover": 20000000\n'
+            '}\n'
+        ),
+    ),
+    (
+        "extremal --h 20000000 --k 1",
+        0,
+        (
+            '{\n'
+            '  "h": 20000000,\n'
+            '  "k": 1,\n'
+            '  "ak_ceiling": 1,\n'
+            '  "n_star": 20000000,\n'
+            '  "witnesses": [\n'
+            '    "1"\n'
+            '  ]\n'
+            '}\n'
+        ),
+    ),
+    # paired bases whose sweep the reflection ceiling sigma* cuts: at
+    # sigma* = h0 = 122 no budget is swept; the second is swept to
+    # sigma* = 5, below its cap 6
+    (
+        "analyze --basis 1,123,166,167",
+        0,
+        (
+            '{\n'
+            '  "basis": "1,123,166,167",\n'
+            '  "k": 4,\n'
+            '  "symmetric": false,\n'
+            '  "h0": 122,\n'
+            '  "h1": 122,\n'
+            '  "h1_found": true,\n'
+            '  "theorem_bound": 242,\n'
+            '  "conjecture_holds": true,\n'
+            '  "counterexample": false\n'
+            '}\n'
+        ),
+    ),
+    (
+        "analyze --basis 1,2,7,8 --cap 6",
+        0,
+        (
+            '{\n'
+            '  "basis": "1,2,7,8",\n'
+            '  "k": 4,\n'
+            '  "symmetric": false,\n'
+            '  "h0": 3,\n'
+            '  "h1": 5,\n'
+            '  "h1_found": true,\n'
+            '  "theorem_bound": 4,\n'
+            '  "conjecture_holds": false,\n'
+            '  "counterexample": false\n'
+            '}\n'
+        ),
+    ),
+    # a budget-1 cover certified on a table over the head run 1..10,
+    # which ends in a gap
+    (
+        "cover --basis 1,2,3,4,5,6,7,8,9,10,40 --h 1",
+        0,
+        (
+            '{\n'
+            '  "basis": "1,2,3,4,5,6,7,8,9,10,40",\n'
+            '  "h": 1,\n'
+            '  "cover": 10\n'
             '}\n'
         ),
     ),
@@ -795,6 +890,21 @@ ERRORS = [
     ("analyze --basis 1,3,4999999,5000000", 3,
      "error: OverflowLimitError: cover sweep would need 320000002 entries,"
      " limit is 16777216\n"),
+    # an unpaired basis never saturates, so its sweep at h = 10^7 is sized by h
+    ("cover --basis 1,3 --h 10000000", 3,
+     "error: OverflowLimitError: cover sweep would need 30000002 entries,"
+     " limit is 16777216\n"),
+    # a given cap judged against h0 = 3334 after one table: 3333 is invalid
+    # input, and the sweep 3334 asks for is refused by its size
+    ("analyze --basis 1,3,9999,10000 --cap 3333", 2,
+     "error: cap 3333 is below the admissibility threshold 3334\n"),
+    ("analyze --basis 1,3,9999,10000 --cap 3334", 3,
+     "error: OverflowLimitError: cover sweep would need 33340002 entries,"
+     " limit is 16777216\n"),
+    # a profile is refused by its rows before the first one is printed
+    ("cover --basis 1 --h 1000000000000 --profile", 3,
+     "error: OverflowLimitError: cover profile would need 1000000000000 rows,"
+     " limit is 16777216\n"),
     ("family --kind a9 --p 4", 2, "error: BadParameterError: p must be odd, got 4\n"),
     ("family --kind a10 --p 3", 2, "error: BadParameterError: p must be at least 5, got 3\n"),
     # the refusal names the box asked for, not a level below it
@@ -804,6 +914,9 @@ ERRORS = [
      "error: TooLargeError: h=2, k=1100: more than 100000 prefixes\n"),
     ("extremal --h 3000 --k 2", 3,
      "error: OverflowLimitError: levels would need 27018009002 bits, limit is 1073741824\n"),
+    # refused by its size before any prefix
+    ("extremal --h 300 --k 3", 3,
+     "error: OverflowLimitError: levels would need 4104225902 bits, limit is 1073741824\n"),
 ]
 
 
