@@ -331,19 +331,27 @@ def search_extremal(
     answered directly (n* = h) with no frame, and {1} is paired, so its
     certifying ``cover`` sweeps one budget: no size or budget refuses it.
 
-    The stack holds one frame per open prefix, and the root is the frame
-    of the empty prefix: every level is 1, and its one child is 1.  A
-    frame holds its levels and free slots but no prefix:
-    the open prefix is one shared ``path``, so a witness is the path and
-    its leaf.  Each frame is opened in one place, which adds its child
-    count to the prefixes visited and raises TooLargeError when that
-    passes ``max_candidates``, before any child is built.  The set of
-    refused boxes is that of a count per prefix: every child of an
-    opened frame is visited unless the search is refused, so the running
-    count never exceeds the final total, and a search is refused exactly
-    when its total prefix count passes ``max_candidates``.  The refusal
-    comes at the frame that crosses the budget, not at the one prefix
-    that does.
+    A frame is the plain tuple (levels, free slots, next child, last
+    child) of a prefix with children left, and the root is the frame of
+    the empty prefix: every level is 1, and its one child is 1.  A frame
+    holds no prefix: the open prefix is one shared ``path``, cut back to
+    a popped frame's k - slots elements, so a witness is the path and its
+    leaf.  A frame of one free slot scores its children as leaves in one
+    loop.  Any other frame opens its next child, and goes back on the
+    stack below that child only if a later child is left, so it leaves
+    the stack when its last child opens: at h = 1, where the prefix
+    1, ..., j has the one child j + 1, the stack holds one frame.  Its
+    (next, last) is the frame's open position and the range of children
+    it has left, which can be read or split without visiting any.  A
+    child is opened in one place, which adds its child count to the
+    prefixes visited and raises TooLargeError when that passes
+    ``max_candidates``, before any child is built, and pushes its frame
+    only if it has a child.  The set of refused boxes is that of a count
+    per prefix: every child of an opened frame is visited unless the
+    search is refused, so the running count never exceeds the final
+    total, and a search is refused exactly when its total prefix count
+    passes ``max_candidates``.  The refusal comes at the frame that
+    crosses the budget, not at the one prefix that does.
     """
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
@@ -351,48 +359,49 @@ def search_extremal(
     _check_box(k, k if ak_ceiling is None else ak_ceiling, "ak_ceiling")
     visits = 1  # the prefix (1,), the root's one child
     head, head_cover = (), 0  # first best (k - 1)-prefix; the empty one covers 0
-    path = []  # the open prefix, one element per frame past the root
+    path = []  # the open prefix; a frame with s free slots owns its first k - s
     if k > 1:
         _cover_entries(k, h)  # the prefix 1, ..., k, sized first so that comb stays small
         entries = _cover_entries(min(math.comb(h + k - 1, k - 1), ak_ceiling or math.inf), h)
         _check_size((h + 1) * entries, "levels", "bits", per_entry=64)
         best, found = -1, []
-        # one frame per open prefix, so no Python frame per slot; the root is the
-        # empty prefix: every level is 1 (only 0 is a sum), and its one child is 1
-        stack = [([1] * h, k, iter((1,)))]
+        # one frame per prefix with children left, so no Python frame per slot; the
+        # root is the empty prefix: every level is 1 (only 0 is a sum), and its one
+        # child is 1
+        stack = [([1] * h, k, 1, 1)]
     else:  # one stamp value reaches exactly 1..h
         best, found, stack = h, [(1,)], []
     while stack:
-        upper, slots, nexts = stack[-1]
-        for nxt in nexts:
-            if slots > 1:
-                path.append(nxt)
-                child = [1]
+        upper, slots, nxt, last = stack.pop()
+        del path[k - slots:]  # back to this frame's prefix
+        if slots == 1:
+            # leaves: only their L'[h] is read, so carry one level along
+            for a in range(nxt, last + 1):
+                reach = 1
                 for level in upper:
-                    child.append(level | child[-1] << nxt)
-                n = _reach_cover(child[h])
-                if slots == 2 and n > head_cover:
-                    head, head_cover = tuple(path), n
-                # admissible next elements; a given ceiling leaves room for the other slots
-                cap = n + 1 if ak_ceiling is None else min(n + 1, ak_ceiling - slots + 2)
-                children = range(nxt + 1, cap + 1)
-                visits += len(children)
-                if visits > max_candidates:
-                    raise TooLargeError(f"h={h}, k={k}: more than {max_candidates} prefixes")
-                stack.append((child[1:], slots - 1, iter(children)))
-                break  # the child's frame runs next; this one resumes after it
-            # a leaf: only its L'[h] is read, so carry one level along
-            last = 1
-            for level in upper:
-                last = level | last << nxt
-            leaf = _reach_cover(last)
-            if leaf > best:
-                best, found = leaf, []
-            if leaf == best:
-                found.append((*path, nxt))
-        else:
-            stack.pop()
-            del path[-1:]  # the root's frame has no element to drop
+                    reach = level | reach << a
+                leaf = _reach_cover(reach)
+                if leaf > best:
+                    best, found = leaf, []
+                if leaf == best:
+                    found.append((*path, a))
+            continue
+        if nxt < last:  # the frame's later children run after this child's subtree
+            stack.append((upper, slots, nxt + 1, last))
+        path.append(nxt)
+        child = [1]
+        for level in upper:
+            child.append(level | child[-1] << nxt)
+        n = _reach_cover(child[h])
+        if slots == 2 and n > head_cover:
+            head, head_cover = tuple(path), n
+        # admissible next elements; a given ceiling leaves room for the other slots
+        cap = n + 1 if ak_ceiling is None else min(n + 1, ak_ceiling - slots + 2)
+        if cap > nxt:  # every frame on the stack has a child left to open
+            visits += cap - nxt
+            if visits > max_candidates:
+                raise TooLargeError(f"h={h}, k={k}: more than {max_candidates} prefixes")
+            stack.append((child[1:], slots - 1, nxt + 1, cap))
     witnesses = tuple(map(Basis, found))
     checks = [("witness", witness, best) for witness in witnesses]
     if ak_ceiling is None:

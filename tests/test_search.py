@@ -575,6 +575,10 @@ def test_extremal_goldens(h, k, n_star, witnesses):
     assert [str(b) for b in result.witnesses] == witnesses
 
 
+# (h, k): prefixes the search visits, derived ak_ceiling
+_SLOW_COUNTS = {(5, 6): (902_007, 127), (3, 8): (2_036_857, 71), (4, 7): (3_495_180, 109)}
+
+
 # published values: Challis & Robinson, J. Integer Seq. 13 (2010)
 @pytest.mark.slow
 @pytest.mark.parametrize(
@@ -586,11 +590,19 @@ def test_extremal_goldens(h, k, n_star, witnesses):
     ],
 )
 def test_extremal_slow_goldens(h, k, n_star, witnesses):
-    result = search_extremal(h, k, max_candidates=10**8)
-    assert result.n_star == n_star
+    # each box answers at a budget of exactly its prefix count
+    prefixes, ceiling = _SLOW_COUNTS[h, k]
+    result = search_extremal(h, k, max_candidates=prefixes)
+    assert (result.n_star, result.ak_ceiling) == (n_star, ceiling)
     assert [str(b) for b in result.witnesses] == witnesses
     for witness in result.witnesses:
         assert brute_force_cover(witness, h) == n_star
+
+
+@pytest.mark.slow
+def test_extremal_slow_box_refused_one_prefix_short():
+    with pytest.raises(TooLargeError, match="more than 902006 prefixes"):
+        search_extremal(5, 6, max_candidates=902_006)
 
 
 def _table_dfs(h, k, ceiling, visited):
@@ -725,13 +737,14 @@ def test_extremal_search_deeper_than_the_recursion_limit():
 
 
 def test_extremal_search_holds_one_prefix():
-    # a frame per slot that kept its own prefix tuple would hold
-    # 600 * 601 / 2 element references, about 1.5 MiB; one shared path
-    # holds 600
+    # at h = 1 the only path is 1, ..., 600 and each prefix has one child:
+    # a frame per open prefix, each with its own level of up to 600 bits,
+    # peaks near 150,000 B, and its own prefix tuple near 1.5 MiB; one
+    # shared path and one frame at a time peak near 49,000 B
     def search():
         assert search_extremal(1, 600).n_star == 600
 
-    assert warm_peak(search) < 512 * 1024
+    assert warm_peak(search) < 96 * 1024
 
 
 def test_extremal_one_denomination_needs_no_levels():

@@ -71,8 +71,8 @@ MUTANTS = [
      "the dual read one place off: deficits of a_2..top, not of 1..a_{k-1}"),
     (CORE, "    if size > limit:\n", "    if size >= limit:\n",
      "every size refusal made strict at its limit"),
-    (SEARCH, "                if visits > max_candidates:\n",
-     "                if visits >= max_candidates:\n",
+    (SEARCH, "            if visits > max_candidates:\n",
+     "            if visits >= max_candidates:\n",
      "the extremal prefix budget made strict at its limit"),
     (SEARCH, "cap = n + 1 if ak_ceiling is None else min(n + 1,",
      "cap = n if ak_ceiling is None else min(n,",
@@ -81,8 +81,14 @@ MUTANTS = [
      "the derived extremal ceiling raised by one"),
     (SEARCH, "child.append(level | child[-1] << nxt)", "child.append(level | child[-1])",
      "an extremal prefix whose reach levels never add its new element"),
-    (SEARCH, "last = level | last << nxt", "last = level | last",
+    (SEARCH, "reach = level | reach << a", "reach = level | reach",
      "an extremal leaf whose last element is never added"),
+    (SEARCH, "range(nxt, last + 1)", "range(nxt, last)",
+     "an extremal leaf frame that skips its last leaf"),
+    (SEARCH, "if nxt < last:", "if nxt < last - 1:",
+     "an extremal frame that drops its last child"),
+    (SEARCH, "del path[k - slots:]", "del path[k - slots + 1:]",
+     "a popped extremal frame that keeps its sibling's element in the path"),
     (SEARCH, "if slots == 2 and n > head_cover:", "if slots == 3 and n > head_cover:",
      "the derived extremal ceiling read off (k - 2)-prefixes"),
     (SEARCH, "pool.shutdown(cancel_futures=True)", "pool.shutdown()",
